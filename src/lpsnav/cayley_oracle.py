@@ -1,22 +1,23 @@
-"""Brute-force Cayley-graph construction and BFS, for verification.
+"""Brute-force BFS distances on the Cayley graph X_{p,q}, for verification.
 
-Builds X_{p,q} explicitly — every element of PSL2(F_q) as a canonical matrix,
-edges by left-multiplying the p + 1 generator images — and answers distance
-queries by breadth-first search.  Everything here is deliberately naive; it
-exists to check the congruence-based navigator against ground truth, so it is
-capped at small q.
+The graph is never stored: a vertex's neighbours are the products s @ v over
+the p + 1 generator images, and every element of PSL2(F_q) has a closed-form
+rank in range(|PSL2(F_q)|) that indexes one byte-per-vertex distance table.
+A single breadth-first search from the identity fills that table.  Everything
+here is deliberately naive; it exists to check the congruence-based navigator
+against ground truth, so it is capped at small q.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .errors import ParameterError
 from .navigator import DiagonalVertex, density_bound
-from .ntheory import legendre
 from .quaternion import GraphParams, PslElement
 
 __all__ = ["CayleyGraph", "build_graph", "bfs_distances", "diagonal_distance_census"]
@@ -26,76 +27,80 @@ MAX_ORACLE_Q = 200
 
 @dataclass(frozen=True)
 class CayleyGraph:
+    """X_{p,q} as its BFS distance table from the identity (-1: unreached)."""
+
     params: GraphParams
-    vertices: tuple[tuple[int, int, int, int], ...]
-    index: dict[tuple[int, int, int, int], int]
-    adjacency: tuple[tuple[int, ...], ...]
+    dist: array  # typecode "b", indexed by vertex_index
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.dist)
 
     def vertex_index(self, g: PslElement) -> int:
-        return self.index[PslElement.canonical(self.params.q, g.m).m]
+        q = self.params.q
+        return _rank(PslElement.canonical(q, g.m).m, q, _square_ranks(q))
 
 
-def _psl_matrices(q: int):
-    """Canonical representatives of PSL2(F_q), enumerated directly.
+@cache
+def _square_ranks(q: int) -> tuple[int, ...]:
+    """Index of x among the sorted nonzero squares mod q, or -1 for a non-square."""
+    ranks = [-1] * q
+    for i, s in enumerate(sorted({x * x % q for x in range(1, q)})):
+        ranks[s] = i
+    return tuple(ranks)
+
+
+def _rank(m: tuple[int, int, int, int], q: int, sqrank: tuple[int, ...]) -> int:
+    """Closed-form bijection from canonical PSL2(F_q) matrices onto range(q(q²-1)/2).
 
     Every projective class has a unique matrix whose first nonzero entry
     (row-major) is 1: shape (1, b, c, d) or (0, 1, c, d).  Membership in PSL
-    (rather than PGL) means the determinant is a nonzero square.
+    (rather than PGL) means the determinant is a nonzero square, so the class
+    is fixed by (b, c) and the determinant's square rank, or by the rank of
+    the determinant -c and d.
     """
-    for b in range(q):
-        for c in range(q):
-            for d in range(q):
-                det = (d - b * c) % q
-                if det != 0 and legendre(det, q) == 1:
-                    yield (1, b, c, d)
-    for c in range(1, q):
-        for d in range(q):
-            if legendre(-c % q, q) == 1:
-                yield (0, 1, c, d)
+    half = (q - 1) // 2
+    if m[0]:
+        _, b, c, d = m
+        return (b * q + c) * half + sqrank[(d - b * c) % q]
+    _, _, c, d = m
+    return q * q * half + sqrank[-c % q] * q + d
 
 
 def build_graph(params: GraphParams) -> CayleyGraph:
-    """Materialize X_{p,q}. Guarded: the vertex count grows like q³."""
+    """BFS from the identity over X_{p,q}. Guarded: the vertex count grows like q³."""
     q = params.q
     if q > MAX_ORACLE_Q:
         raise ParameterError(
             f"oracle graph construction is limited to q <= {MAX_ORACLE_Q}"
         )
-    vertices = tuple(_psl_matrices(q))
-    assert len(vertices) == params.vertex_count
-    index = {m: i for i, m in enumerate(vertices)}
-    assert len(index) == len(vertices)
+    sqrank = _square_ranks(q)
+    dist = array("b", [-1]) * params.vertex_count
+    identity = PslElement.identity(q)
+    dist[_rank(identity.m, q, sqrank)] = 0
+    frontier, level, reached = [identity], 0, 1
+    while frontier:
+        level += 1
+        nxt = []
+        for u in frontier:
+            for s in params.gen_images:
+                w = s @ u
+                r = _rank(w.m, q, sqrank)
+                if dist[r] < 0:
+                    dist[r] = level
+                    nxt.append(w)
+        reached += len(nxt)
+        frontier = nxt
+    if reached != params.vertex_count:
+        raise RuntimeError(
+            f"Cayley graph is not connected: BFS reached {reached} of "
+            f"{params.vertex_count} vertices"
+        )
+    return CayleyGraph(params, dist)
 
-    adjacency = []
-    for m in vertices:
-        v = PslElement(q, m)
-        nbrs = tuple(index[(s @ v).m] for s in params.gen_images)
-        assert len(set(nbrs)) == len(params.gens), "multi-edge in generator images"
-        adjacency.append(nbrs)
 
-    graph = CayleyGraph(params, vertices, index, tuple(adjacency))
-    dist = bfs_distances(graph)
-    assert all(d >= 0 for d in dist), "Cayley graph is not connected"
-    return graph
-
-
-def bfs_distances(graph: CayleyGraph, source: Optional[int] = None) -> list[int]:
-    """Distances from source (default: identity) to every vertex; -1 unreachable."""
-    if source is None:
-        source = graph.vertex_index(PslElement.identity(graph.params.q))
-    dist = [-1] * len(graph)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in graph.adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+def bfs_distances(graph: CayleyGraph) -> array:
+    """Distances from the identity to every vertex, indexed by vertex_index."""
+    return graph.dist
 
 
 def diagonal_vertices(params: GraphParams) -> list[DiagonalVertex]:
@@ -129,12 +134,10 @@ def diagonal_distance_census(
     visible even when every vertex is closer than that.
     """
     params = graph.params
-    dist = bfs_distances(graph)
-    sqrt_m1 = params.sqrt_m1
-    dists = []
-    for v in diagonal_vertices(params):
-        idx = graph.index[v.psl(sqrt_m1).m]
-        dists.append(dist[idx])
+    dists = [
+        graph.dist[graph.vertex_index(v.psl(params.sqrt_m1))]
+        for v in diagonal_vertices(params)
+    ]
     rows = []
     top = max(dists)
     if threshold is not None:

@@ -149,8 +149,9 @@ def _cmd_verify(args) -> tuple[str, dict, int]:
     dist = bfs_distances(graph)
     threshold = typical_height_bound(params, _config(args))
     rows = diagonal_distance_census(graph, threshold=threshold)
-    connected = all(d >= 0 for d in dist)
-    simple = all(i not in nbrs for i, nbrs in enumerate(graph.adjacency))
+    connected = -1 not in dist
+    # A Cayley graph has a self-loop exactly when a generator image is trivial.
+    simple = PslElement.identity(args.q) not in params.gen_images
     census = [
         {
             "h": r.h,
@@ -193,11 +194,14 @@ def _cmd_np_reduce(args) -> tuple[str, dict, int]:
 
 
 def _cmd_np_decode(args) -> tuple[str, dict, int]:
-    if args.instance == "-":
-        raw = sys.stdin.read()
-    else:
-        raw = Path(args.instance).read_text()
-    inst = NpInstance.from_json_dict(json.loads(raw))
+    try:
+        if args.instance == "-":
+            raw = sys.stdin.read()
+        else:
+            raw = Path(args.instance).read_text()
+        inst = NpInstance.from_json_dict(json.loads(raw))
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise ParameterError(f"cannot read instance {args.instance!r}: {exc}") from exc
     res = decode(inst, args.x, args.y)
     payload = {
         "x": str(args.x),
@@ -306,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "verify",
         parents=[cfg_parent, out_parent],
-        help="build the graph explicitly (small q) and check structure + census",
+        help="BFS the whole graph (small q) and check structure + census",
     )
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)

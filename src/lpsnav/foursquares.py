@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import InfeasibleCongruence, ParameterError
@@ -37,6 +36,7 @@ from .lattice2 import (
 from .ntheory import (
     DEFAULT_RHO_BUDGET,
     TwoSquares,
+    gauss_mul,
     is_prime,
     two_squares,
     two_squares_prime,
@@ -108,14 +108,6 @@ class CandidateForm:
             return False
         m = abs(x2) + scale
         return m * m * self.d2sq <= s2n
-
-    def box_a(self) -> float:
-        """A = sqrt(n)/(2*M*|u1|) as a float, for reporting only."""
-        return math.sqrt(float(Fraction(4 * self.n, self.d1sq))) / 2
-
-    def box_b(self) -> float:
-        """B = sqrt(n)/(2*M*|u2|) - 1 as a float, for reporting only."""
-        return math.sqrt(float(Fraction(4 * self.n, self.d2sq))) / 2 - 1
 
 
 @dataclass(frozen=True)
@@ -235,40 +227,24 @@ def _row_range(form: CandidateForm) -> Optional[tuple[int, int]]:
     return _quadratic_interval(a2, b2, c2, lambda x: (a2 * x + b2) * x + c2)
 
 
-def enumerate_candidates(
-    form: CandidateForm, region: str = "5C"
-) -> Iterator[tuple[tuple[int, int], int]]:
+def enumerate_candidates(form: CandidateForm) -> Iterator[tuple[tuple[int, int], int]]:
     """Stream ((x1, x2), F) with F >= 0, ordered by (x1² + x2², x1, x2).
 
-    region "5C" scans the entire nonnegativity ellipse of F — computed exactly
+    The stream scans the entire nonnegativity ellipse of F — computed exactly
     from integer quadratics, and a superset of the 5C box intersected with
-    {F >= 0} — so exhausting it is a completeness certificate.  region "C"
-    restricts the stream to the inner box C where the form is provably
-    positive in the solver's operating regime.
+    {F >= 0} — so exhausting it is a completeness certificate.
     """
-    if region not in ("C", "5C"):
-        raise ValueError("region must be 'C' or '5C'")
     rows = _row_range(form)
     if rows is None:
         return
     x2_lo, x2_hi = rows
-    if region == "C":
-        b_int = math.isqrt(form.n // form.d2sq) - 1 if form.d2sq <= form.n else -1
-        x2_lo = max(x2_lo, -b_int)
-        x2_hi = min(x2_hi, b_int)
-        a_int = math.isqrt(form.n // form.d1sq) if form.d1sq <= form.n else 0
     heap: list[tuple[tuple[int, int, int], int, Iterator[int]]] = []
     for x2 in range(x2_lo, x2_hi + 1):
         a, b, c = _f_coeffs(form, x2)
         iv = _quadratic_interval(a, b, c, lambda x, _a=a, _b=b, _c=c: (_a * x + _b) * x + _c)
         if iv is None:
             continue
-        lo, hi = iv
-        if region == "C":
-            lo, hi = max(lo, -a_int), min(hi, a_int)
-            if lo > hi:
-                continue
-        it = _row_points(lo, hi)
+        it = _row_points(*iv)
         x1 = next(it)
         heapq.heappush(heap, ((x1 * x1 + x2 * x2, x1, x2), x1, it))
     while heap:
@@ -290,10 +266,6 @@ def _power_of_two_pair(s: int) -> tuple[int, int]:
     return (h, h)
 
 
-def _gauss_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
 def _fast_certify(v: int) -> TwoSquares:
     """Prime-power fast path: certify v = x² + y² without factoring.
 
@@ -310,7 +282,7 @@ def _fast_certify(v: int) -> TwoSquares:
     if m % 4 == 3:
         return TwoSquares("absent")
     if is_prime(m):
-        pair = _gauss_mul(_power_of_two_pair(s), two_squares_prime(m))
+        pair = gauss_mul(_power_of_two_pair(s), two_squares_prime(m))
         x, y = abs(pair[0]), abs(pair[1])
         return TwoSquares("found", (min(x, y), max(x, y)))
     return TwoSquares("unknown")
@@ -343,7 +315,7 @@ def solve(
         return SolveResult("absent")
     tainted = False
     tried = 0
-    for (x1, x2), fv in enumerate_candidates(form, "5C"):
+    for (x1, x2), fv in enumerate_candidates(form):
         tried += 1
         if mode == "exact":
             ts = two_squares(fv, budget_rho)

@@ -149,14 +149,14 @@ def _parity_lift(x: int, parity: int, q: int) -> int:
     return v if v % 2 == parity else v + q
 
 
-def _h_cap(p: int, q: int, slack: int) -> int:
-    """ceil(log_p(89 q⁴)) + slack, in exact integer arithmetic."""
+def _least_height(c: int, p: int, q: int) -> int:
+    """Least h >= 0 with c·p^h >= 89 q⁴, in exact integer arithmetic."""
     target = 89 * q**4
-    h, val = 0, 1
-    while val < target:
-        val *= p
+    h = 0
+    while c < target:
+        c *= p
         h += 1
-    return h + slack
+    return h
 
 
 def _vertex_checked(vertex: DiagonalVertex, params: GraphParams) -> None:
@@ -183,7 +183,7 @@ def _solve_heights(
     nsq = (a * a + b * b) % q
     mu0 = sqrt_mod(pow(nsq, -1, q), q)
     n = 1
-    for h in range(_h_cap(p, q, cfg.h_max_slack) + 1):
+    for h in range(_least_height(1, p, q) + cfg.h_max_slack + 1):
         lam = mu0 * pow(params.sqrt_p, h, q) % q
         r1 = _parity_lift(lam * a, 1, q)
         r2 = _parity_lift(lam * b, 0, q)
@@ -307,13 +307,7 @@ def predicted_bounds(
     p, q = params.p, params.q
     u1, u2 = _vertex_lattice(q, vertex.a, vertex.b)
 
-    target = 89 * q**4
-    h, val = 0, norm_sq(u1)
-    while val < target:
-        val *= p
-        h += 1
-    hole_bound = h
-
+    hole_bound = _least_height(norm_sq(u1), p, q)
     typical_bound = typical_height_bound(params, cfg)
 
     threshold = (cfg.c_gamma * math.log(2 * q) ** cfg.gamma) ** 2
@@ -324,7 +318,7 @@ def predicted_bounds(
         regime=regime,
         hole_bound=hole_bound,
         typical_bound=typical_bound,
-        h_max=_h_cap(p, q, cfg.h_max_slack),
+        h_max=_least_height(1, p, q) + cfg.h_max_slack,
     )
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "sqrt_mod",
     "two_squares_prime",
     "two_squares",
+    "gauss_mul",
     "gauss_gcd",
 ]
 
@@ -397,7 +398,8 @@ class TwoSquares:
     pair: Optional[tuple[int, int]] = None
 
 
-def _gauss_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+def gauss_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """Product of two Gaussian integers given as (re, im)."""
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
@@ -421,11 +423,11 @@ def two_squares(n: int, budget_rho: int = DEFAULT_RHO_BUDGET) -> TwoSquares:
     for p, e in fac.factors:
         if p == 2:
             for _ in range(e):
-                z = _gauss_mul(z, (1, 1))
+                z = gauss_mul(z, (1, 1))
         elif p % 4 == 1:
             rep = two_squares_prime(p)
             for _ in range(e):
-                z = _gauss_mul(z, rep)
+                z = gauss_mul(z, rep)
         else:
             if e % 2 == 1:
                 return TwoSquares("absent")

@@ -60,7 +60,7 @@ def test_criterion_1_diagonal_distances_match_bfs(q):
     cfg = NavConfig(mode="exact")
     checked = 0
     for v in diagonal_vertices(params):
-        want = dist[graph.index[v.psl(params.sqrt_m1).m]]
+        want = dist[graph.vertex_index(v.psl(params.sqrt_m1))]
         res = diagonal_distance(params, v, cfg)
         assert res.h == want, (v.a, v.b)
         assert len(res.word) == res.h

@@ -1,4 +1,13 @@
-"""Explicit graph construction: structure checks and BFS sanity."""
+"""BFS oracle: vertex ranks, graph structure and BFS sanity.
+
+Vertices are enumerated here independently of the oracle (canonical
+representatives filtered by membership in PSL2), and neighbours are formed as
+s @ v over the generator images, so the structure checks do not rely on the
+oracle's own traversal.
+"""
+
+from functools import cache
+from itertools import product
 
 import pytest
 
@@ -13,28 +22,67 @@ from lpsnav.errors import ParameterError
 from lpsnav.quaternion import GraphParams, PslElement
 
 
+@cache
+def psl_elements(q):
+    """Every element of PSL2(F_q), one canonical matrix per class."""
+    shapes = [(1, b, c, d) for b, c, d in product(range(q), repeat=3)]
+    shapes += [(0, 1, c, d) for c, d in product(range(1, q), range(q))]
+    out = []
+    for m in shapes:
+        if (m[0] * m[3] - m[1] * m[2]) % q == 0:
+            continue
+        g = PslElement.canonical(q, m)
+        assert g.m == m
+        if g.in_psl():
+            out.append(g)
+    return tuple(out)
+
+
+def adjacency(graph):
+    """vertex_index(v) -> [vertex_index(s @ v) for each generator image s]."""
+    gens = graph.params.gen_images
+    return {
+        graph.vertex_index(v): [graph.vertex_index(s @ v) for s in gens]
+        for v in psl_elements(graph.params.q)
+    }
+
+
 @pytest.fixture(scope="module")
 def graph29():
     return build_graph(GraphParams(5, 29))
 
 
-def test_vertex_count_and_degree(graph29):
+@pytest.fixture(scope="module")
+def adj29(graph29):
+    return adjacency(graph29)
+
+
+def test_vertex_count_and_degree(graph29, adj29):
     params = graph29.params
     assert len(graph29) == 29 * (29 * 29 - 1) // 2 == params.vertex_count
-    for nbrs in graph29.adjacency:
+    assert len(adj29) == len(graph29)
+    for nbrs in adj29.values():
         assert len(nbrs) == 6
         assert len(set(nbrs)) == 6
 
 
-def test_adjacency_is_symmetric(graph29):
+@pytest.mark.parametrize("p, q", [(5, 29), (13, 17)])
+def test_vertex_index_is_bijection(p, q):
+    graph = build_graph(GraphParams(p, q))
+    elements = psl_elements(q)
+    assert len(elements) == graph.params.vertex_count
+    assert sorted(graph.vertex_index(g) for g in elements) == list(range(len(graph)))
+
+
+def test_adjacency_is_symmetric(adj29):
     """s·v ~ v and v ~ s⁻¹·(s·v): undirectedness of the Cayley structure."""
-    for u, nbrs in enumerate(graph29.adjacency):
+    for u, nbrs in adj29.items():
         for w in nbrs:
-            assert u in graph29.adjacency[w]
+            assert u in adj29[w]
 
 
-def test_no_self_loops(graph29):
-    assert all(u not in nbrs for u, nbrs in enumerate(graph29.adjacency))
+def test_no_self_loops(adj29):
+    assert all(u not in nbrs for u, nbrs in adj29.items())
 
 
 def test_connected(graph29):
@@ -43,20 +91,34 @@ def test_connected(graph29):
     assert dist[graph29.vertex_index(PslElement.identity(29))] == 0
 
 
-def test_bfs_is_metric(graph29):
-    """Neighbor distances differ by at most one."""
+def test_bfs_is_metric(graph29, adj29):
+    """Neighbor distances differ by at most one, and every vertex but the
+    identity has a neighbor one step closer: the table is the graph distance."""
     dist = bfs_distances(graph29)
-    for u, nbrs in enumerate(graph29.adjacency):
+    identity = graph29.vertex_index(PslElement.identity(29))
+    for u, nbrs in adj29.items():
         for w in nbrs:
             assert abs(dist[u] - dist[w]) <= 1
+        if u != identity:
+            assert dist[u] > 0
+            assert min(dist[w] for w in nbrs) == dist[u] - 1
 
 
 def test_second_graph_structure():
     graph = build_graph(GraphParams(13, 17))
     assert len(graph) == 17 * (17 * 17 - 1) // 2
-    assert all(len(set(nbrs)) == 14 for nbrs in graph.adjacency)
+    assert all(len(set(nbrs)) == 14 for nbrs in adjacency(graph).values())
     dist = bfs_distances(graph)
     assert all(d >= 0 for d in dist)
+
+
+def test_disconnected_generators_raise():
+    """The connectivity check is an explicit exception, not an assert: one
+    generator and its inverse span a cyclic subgroup, far from all of PSL2."""
+    params = GraphParams(5, 29)
+    params.gen_images = (params.gen_images[0], params.gen_images[params.gens.conj[0]])
+    with pytest.raises(RuntimeError, match="not connected"):
+        build_graph(params)
 
 
 def test_size_guard():

@@ -131,6 +131,16 @@ def test_np_decode_norm_mismatch_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_np_decode_unreadable_instance_exits_2(capsys, tmp_path):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    for path in (tmp_path / "missing.json", bad_json):
+        code, out, err = run(capsys, "np-decode", "--instance", str(path), "1", "1")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+
 def test_determinism(capsys):
     _, out1, _ = run(capsys, "np-reduce", "3", "5", "8", "--target", "8", "--seed", "7")
     _, out2, _ = run(capsys, "np-reduce", "3", "5", "8", "--target", "8", "--seed", "7")

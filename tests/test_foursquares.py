@@ -121,22 +121,6 @@ def test_enumeration_order_and_completeness():
                     assert (x1, x2) in pts, (n, m, r1, r2, x1, x2)
 
 
-def test_enumeration_region_c_is_subset():
-    rng = random.Random(43)
-    for _ in range(80):
-        m = rng.randrange(2, 20)
-        r1, r2 = rng.randrange(m), rng.randrange(m)
-        n = r1 * r1 + r2 * r2 + m * rng.randrange(0, 200)
-        try:
-            form = build_form(FourSquaresInstance(n, m, r1, r2))
-        except InfeasibleCongruence:
-            continue
-        full = {pt for pt, _ in enumerate_candidates(form, region="5C")}
-        inner = [pt for pt, _ in enumerate_candidates(form, region="C")]
-        assert set(inner) <= full
-        assert all(form.in_box(x1, x2, 1) for x1, x2 in inner)
-
-
 def test_solver_against_brute_force():
     rng = random.Random(44)
     for _ in range(250):
