@@ -49,7 +49,8 @@ def _env(name: str, cast, default):
     try:
         return cast(raw)
     except ValueError:
-        raise SystemExit(f"invalid value for {name}: {raw!r}")
+        print(f"error: invalid value for {name}: {raw!r}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _config(args: argparse.Namespace) -> NavConfig:
@@ -90,7 +91,8 @@ def _cmd_navigate_diagonal(args) -> tuple[str, dict, int]:
 
 def _cmd_four_squares(args) -> tuple[str, dict, int]:
     inst = FourSquaresInstance(args.n, args.modulus, args.r1, args.r2)
-    res = solve(inst, mode=args.mode, budget_rho=args.budget_rho)
+    cfg = _config(args)
+    res = solve(inst, mode=cfg.mode, budget_rho=cfg.budget_rho)
     payload = {
         "n": str(args.n),
         "modulus": str(args.modulus),

@@ -7,13 +7,8 @@ over the affine lattice of solutions of 2*r1*t1 + 2*r2*t2 ≡ k (mod M),
 k = (N - r1² - r2²)/M.  Parametrizing that lattice by a Gauss-reduced basis
 turns F into an integer quadratic that is nonnegative exactly on an ellipse;
 candidates are enumerated in order of increasing parameter norm and each
-F-value is certified (or rejected) as a sum of two squares.
-
-Two admission policies: "exact" fully factors every candidate, so the final
-verdict distinguishes certified absence from a factoring-budget failure;
-"fast" only accepts candidates of the form 2^s, 2^s * prime ≡ 1 (mod 4),
-rejects values ≡ 3 (mod 4) outright (never sums of two squares), and skips
-whatever it cannot certify cheaply.
+F-value is certified (or rejected) as a sum of two squares by
+`ntheory.two_squares` under the instance's admission policy (`solve_mode`).
 """
 
 from __future__ import annotations
@@ -33,26 +28,32 @@ from .lattice2 import (
     particular_solution,
     shortest_coset_vector,
 )
-from .ntheory import (
-    DEFAULT_RHO_BUDGET,
-    TwoSquares,
-    gauss_mul,
-    is_prime,
-    two_squares,
-    two_squares_prime,
-)
+from .ntheory import DEFAULT_RHO_BUDGET, two_squares
 
 __all__ = [
     "FourSquaresInstance",
     "CandidateForm",
     "SolveResult",
     "FAST_MODE_THRESHOLD",
+    "solve_mode",
     "build_form",
     "enumerate_candidates",
     "solve",
 ]
 
 FAST_MODE_THRESHOLD = 10**18
+
+
+def solve_mode(mode: str, n: int) -> str:
+    """The certification mode `solve` applies to an instance of size n.
+
+    "auto" is "exact" up to 10^18 and "fast" above; "exact" and "fast" stand.
+    """
+    if mode == "auto":
+        return "exact" if n <= FAST_MODE_THRESHOLD else "fast"
+    if mode not in ("exact", "fast"):
+        raise ParameterError(f"unknown mode {mode!r}")
+    return mode
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,6 @@ class CandidateForm:
 
     n: int
     modulus: int
-    k: int
     r1: int
     r2: int
     u0: Vec2
@@ -144,7 +144,6 @@ def build_form(inst: FourSquaresInstance) -> CandidateForm:
     return CandidateForm(
         n=inst.n,
         modulus=m,
-        k=k,
         r1=r1,
         r2=r2,
         u0=u0,
@@ -237,17 +236,23 @@ def enumerate_candidates(form: CandidateForm) -> Iterator[tuple[tuple[int, int],
     rows = _row_range(form)
     if rows is None:
         return
-    x2_lo, x2_hi = rows
+    # Rows are seeded lazily in (x2², x2) order: a row cannot yield a key
+    # below x2², so one is pushed only once x2² reaches the heap top's norm.
+    unseeded = _row_points(*rows)
+    x2_next = next(unseeded, None)
     heap: list[tuple[tuple[int, int, int], int, Iterator[int]]] = []
-    for x2 in range(x2_lo, x2_hi + 1):
-        a, b, c = _f_coeffs(form, x2)
-        iv = _quadratic_interval(a, b, c, lambda x, _a=a, _b=b, _c=c: (_a * x + _b) * x + _c)
-        if iv is None:
-            continue
-        it = _row_points(*iv)
-        x1 = next(it)
-        heapq.heappush(heap, ((x1 * x1 + x2 * x2, x1, x2), x1, it))
-    while heap:
+    while True:
+        while x2_next is not None and (not heap or x2_next * x2_next <= heap[0][0][0]):
+            x2, x2_next = x2_next, next(unseeded, None)
+            a, b, c = _f_coeffs(form, x2)
+            iv = _quadratic_interval(a, b, c, lambda x, _a=a, _b=b, _c=c: (_a * x + _b) * x + _c)
+            if iv is None:
+                continue
+            it = _row_points(*iv)
+            x1 = next(it)
+            heapq.heappush(heap, ((x1 * x1 + x2 * x2, x1, x2), x1, it))
+        if not heap:
+            return
         (key, x1, it) = heap[0]
         x2 = key[2]
         yield ((x1, x2), form.f_value(x1, x2))
@@ -258,36 +263,6 @@ def enumerate_candidates(form: CandidateForm) -> Iterator[tuple[tuple[int, int],
             heapq.heapreplace(heap, ((nxt * nxt + x2 * x2, nxt, x2), nxt, it))
 
 
-def _power_of_two_pair(s: int) -> tuple[int, int]:
-    """2^s as an (ordered) sum of two squares."""
-    if s % 2 == 0:
-        return (0, 1 << (s // 2))
-    h = 1 << ((s - 1) // 2)
-    return (h, h)
-
-
-def _fast_certify(v: int) -> TwoSquares:
-    """Prime-power fast path: certify v = x² + y² without factoring.
-
-    Accepts v = 2^s * m with m = 1 or m prime ≡ 1 (mod 4); certifies absence
-    for any m ≡ 3 (mod 4) (such v is never a sum of two squares); reports
-    "unknown" for the composite m ≡ 1 (mod 4) it declines to factor.
-    """
-    if v == 0:
-        return TwoSquares("found", (0, 0))
-    s = (v & -v).bit_length() - 1
-    m = v >> s
-    if m == 1:
-        return TwoSquares("found", _power_of_two_pair(s))
-    if m % 4 == 3:
-        return TwoSquares("absent")
-    if is_prime(m):
-        pair = gauss_mul(_power_of_two_pair(s), two_squares_prime(m))
-        x, y = abs(pair[0]), abs(pair[1])
-        return TwoSquares("found", (min(x, y), max(x, y)))
-    return TwoSquares("unknown")
-
-
 def solve(
     inst: FourSquaresInstance,
     mode: str = "auto",
@@ -295,18 +270,15 @@ def solve(
 ) -> SolveResult:
     """Find x² + y² + z² + w² = n with the instance congruences, or certify.
 
-    mode "exact" fully factors each candidate F-value (verdict "absent" is a
-    certificate; "unknown" only on factoring-budget exhaustion); mode "fast"
-    certifies candidates cheaply and may answer "unknown" where "absent" is
-    the truth; "auto" picks exact below 10^18 and fast above.
+    Each candidate F-value goes to `ntheory.two_squares` in the mode
+    `solve_mode(mode, n)` resolves to: under "exact", verdict "absent" is a
+    certificate and "unknown" means only factoring-budget exhaustion; under
+    "fast", "unknown" may stand where "absent" is the truth.
 
     Determinism: identical instance, mode and budget give identical output —
     the candidate stream and all certifications are deterministic.
     """
-    if mode == "auto":
-        mode = "exact" if inst.n <= FAST_MODE_THRESHOLD else "fast"
-    if mode not in ("exact", "fast"):
-        raise ParameterError(f"unknown mode {mode!r}")
+    mode = solve_mode(mode, inst.n)
     m = inst.modulus
     zero_residues = inst.r1 % m == 0 and inst.r2 % m == 0
     try:
@@ -317,10 +289,7 @@ def solve(
     tried = 0
     for (x1, x2), fv in enumerate_candidates(form):
         tried += 1
-        if mode == "exact":
-            ts = two_squares(fv, budget_rho)
-        else:
-            ts = _fast_certify(fv)
+        ts = two_squares(fv, budget_rho, mode)
         if ts.status == "found":
             t1, t2 = form.point(x1, x2)
             e, f = ts.pair
@@ -330,9 +299,11 @@ def solve(
                 sol = (m * e, m * f, m * t1, m * t2)
             else:
                 sol = (m * t1 + form.r1, m * t2 + form.r2, m * e, m * f)
-            assert sum(v * v for v in sol) == inst.n
-            assert (sol[0] - inst.r1) % m == 0 and (sol[1] - inst.r2) % m == 0
-            assert sol[2] % m == 0 and sol[3] % m == 0
+            residues = (inst.r1, inst.r2, 0, 0)
+            if sum(v * v for v in sol) != inst.n or any(
+                (v - r) % m for v, r in zip(sol, residues)
+            ):
+                raise RuntimeError(f"solution {sol} does not solve {inst}")
             return SolveResult("found", sol, tried)
         if ts.status == "unknown":
             tainted = True

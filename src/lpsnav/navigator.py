@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import BudgetExhausted, HMaxExceeded, ParameterError
-from .foursquares import FAST_MODE_THRESHOLD, FourSquaresInstance, solve
+from .foursquares import FourSquaresInstance, solve, solve_mode
 from .ntheory import DEFAULT_RHO_BUDGET, legendre, sqrt_mod
 from .lattice2 import Vec2, congruence_lattice, gauss_reduce, norm_sq
 from .quaternion import (
@@ -53,7 +53,7 @@ class NavConfig:
     """Tunables shared by the navigation entry points.
 
     mode: "exact" certifies minimality, "fast" trades certificates for speed,
-    "auto" switches on instance size (the four-squares solver's threshold).
+    "auto" switches on instance size (`foursquares.solve_mode`).
     gamma/c_gamma parametrize the lattice-balance predicate; h_max_slack pads
     the height cap; s_cap bounds the correcting words tried by
     general_navigate.
@@ -65,6 +65,17 @@ class NavConfig:
     h_max_slack: int = 4
     budget_rho: int = DEFAULT_RHO_BUDGET
     s_cap: int = 4096
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("auto", "exact", "fast"):
+            raise ParameterError(f"unknown mode {self.mode!r}")
+        if not (math.isfinite(self.gamma) and math.isfinite(self.c_gamma)):
+            raise ParameterError("gamma and c_gamma must be finite")
+        if self.c_gamma <= 0:
+            raise ParameterError("c_gamma must be positive")
+        for name in ("h_max_slack", "budget_rho", "s_cap"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -86,20 +97,6 @@ class DiagonalVertex:
         """In PSL2 (and invertible): a² + b² a nonzero quadratic residue."""
         n = self.norm_sq()
         return n != 0 and legendre(n, self.q) == 1
-
-    def is_identity(self) -> bool:
-        return self.b % self.q == 0
-
-    def normalized(self) -> "DiagonalVertex":
-        """Scale so a² + b² ≡ 1 when possible (lex-least of the two scalings)."""
-        n = self.norm_sq()
-        if n == 0 or legendre(n, self.q) != 1:
-            return DiagonalVertex(self.q, self.a % self.q, self.b % self.q)
-        mu = sqrt_mod(pow(n, -1, self.q), self.q)
-        c1 = (self.a * mu % self.q, self.b * mu % self.q)
-        c2 = (-c1[0] % self.q, -c1[1] % self.q)
-        a, b = min(c1, c2)
-        return DiagonalVertex(self.q, a, b)
 
     def psl(self, sqrt_m1: int) -> PslElement:
         i = sqrt_m1
@@ -173,10 +170,12 @@ def _vertex_checked(vertex: DiagonalVertex, params: GraphParams) -> None:
 
 def _solve_heights(
     params: GraphParams, a: int, b: int, cfg: NavConfig
-) -> tuple[int, tuple[int, int, int, int]]:
+) -> tuple[int, tuple[int, int, int, int], str]:
     """First height h with a certified solution of the vertex congruence.
 
-    Returns (h, (x, y, z, w)).  One λ sign suffices: negating (x, y) swaps the
+    Returns (h, (x, y, z, w), the mode that height was solved in).  "unknown"
+    at a height solved in "exact" mode voids the minimality certificate, so
+    it raises BudgetExhausted.  One λ sign suffices: negating (x, y) swaps the
     two λ-lifts bijectively, so the solution sets at every height agree.
     """
     q, p = params.q, params.p
@@ -187,25 +186,21 @@ def _solve_heights(
         lam = mu0 * pow(params.sqrt_p, h, q) % q
         r1 = _parity_lift(lam * a, 1, q)
         r2 = _parity_lift(lam * b, 0, q)
+        mode = solve_mode(cfg.mode, n)
         res = solve(
             FourSquaresInstance(n, 2 * q, r1, r2),
-            mode=cfg.mode,
+            mode=mode,
             budget_rho=cfg.budget_rho,
         )
         if res.status == "found":
-            assert res.solution is not None
-            return h, res.solution
-        if res.status == "unknown":
-            # "unknown" breaks the minimality certificate only when the caller
-            # asked for one (exact, or auto below the exact/fast threshold).
-            certifying = cfg.mode == "exact" or (
-                cfg.mode == "auto" and n <= FAST_MODE_THRESHOLD
+            if res.solution is None:
+                raise RuntimeError(f"'found' without a solution at height {h}")
+            return h, res.solution, mode
+        if res.status == "unknown" and mode == "exact":
+            raise BudgetExhausted(
+                f"factoring budget exhausted at height {h}; "
+                "minimality not certified"
             )
-            if certifying:
-                raise BudgetExhausted(
-                    f"factoring budget exhausted at height {h}; "
-                    "minimality not certified"
-                )
         n *= p
     raise HMaxExceeded(f"no path found up to the height cap for ({a}, {b})")
 
@@ -235,7 +230,7 @@ def _navigate_axis(
     params: GraphParams, value: int, axis: int, cfg: NavConfig
 ) -> tuple[int, list[int], Quat]:
     """Shortest-word navigation to the class of (1 + i_axis * value)."""
-    h, sol = _solve_heights(params, 1, value, cfg)
+    h, sol, _mode = _solve_heights(params, 1, value, cfg)
     alpha = Quat(*(sol[j] for j in _AXIS_SHUFFLE[axis]))
     alpha, t = _strip_p_content(alpha, params.p)
     word = factor_into_generators(alpha, params.gens)
@@ -255,16 +250,19 @@ def diagonal_distance(
     """
     cfg = cfg or NavConfig()
     _vertex_checked(vertex, params)
-    h, sol = _solve_heights(params, vertex.a % params.q, vertex.b % params.q, cfg)
+    h, sol, mode = _solve_heights(params, vertex.a % params.q, vertex.b % params.q, cfg)
     alpha = Quat(*sol)
     alpha, t = _strip_p_content(alpha, params.p)
-    if cfg.mode == "exact":
-        assert t == 0, "minimal-height solution must be primitive"
+    # Exact mode certified every lower height absent, height h - 2t included.
+    if mode == "exact" and t:
+        raise RuntimeError("minimal-height solution must be primitive")
     word = factor_into_generators(alpha, params.gens)
     h -= 2 * t
-    assert len(word) == h
+    if len(word) != h:
+        raise RuntimeError(f"word has {len(word)} letters, expected {h}")
     got = evaluate_word(word, params.gens, params.q, params.sqrt_m1)
-    assert got == vertex.psl(params.sqrt_m1), "word does not evaluate to the vertex"
+    if got != vertex.psl(params.sqrt_m1):
+        raise RuntimeError("word does not evaluate to the vertex")
     return NavResult(h, tuple(word), tuple(sol))
 
 
@@ -428,7 +426,8 @@ def general_navigate(
                 word += w
             word = free_reduce(word, params.gens)
             got = evaluate_word(word, params.gens, q, params.sqrt_m1)
-            assert got == target, "navigation word does not evaluate to the target"
+            if got != target:
+                raise RuntimeError("navigation word does not evaluate to the target")
             return GeneralNavResult(
                 word=tuple(word),
                 s_index=s_index,

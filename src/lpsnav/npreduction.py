@@ -22,7 +22,7 @@ from random import Random
 from typing import Optional
 
 from .errors import ParameterError
-from .ntheory import factor, gauss_gcd, is_prime, next_prime_at_least
+from .ntheory import factor, gauss_gcd, gauss_mul, is_prime, next_prime_at_least
 
 __all__ = ["NpInstance", "DecodeResult", "reduce_subset_sum", "decode", "lift_dimension"]
 
@@ -31,7 +31,8 @@ GPair = tuple[int, int]  # u + i*v as (u, v)
 
 def _gmul(x: GPair, y: GPair, q: int) -> GPair:
     """Multiplication in F_q[i] (i² = -1; a field exactly when q ≡ 3 mod 4)."""
-    return ((x[0] * y[0] - x[1] * y[1]) % q, (x[0] * y[1] + x[1] * y[0]) % q)
+    re, im = gauss_mul(x, y)
+    return (re % q, im % q)
 
 
 def _gpow(x: GPair, e: int, q: int) -> GPair:

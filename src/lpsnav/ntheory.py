@@ -403,24 +403,43 @@ def gauss_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def two_squares(n: int, budget_rho: int = DEFAULT_RHO_BUDGET) -> TwoSquares:
+def two_squares(
+    n: int, budget_rho: int = DEFAULT_RHO_BUDGET, mode: str = "exact"
+) -> TwoSquares:
     """Decide n = x² + y² and construct a representation.
 
     Returns status "found" with 0 <= x <= y, "absent" when the classical
     criterion certifies no representation (some prime ≡ 3 mod 4 divides n to
-    an odd power), or "unknown" when the factoring budget ran out before the
-    criterion could be decided.
+    an odd power), or "unknown" when the criterion was not decided.
+
+    Two admission policies: "exact" fully factors n, so "unknown" means only
+    that the rho budget ran out; "fast" writes n = 2^s * m and factors
+    nothing — it certifies m = 1 and prime m ≡ 1 (mod 4), rejects m ≡ 3
+    (mod 4) outright (never a sum of two squares), and answers "unknown" for
+    the composite m ≡ 1 (mod 4) it declines to factor.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return TwoSquares("found", (0, 0))
-    fac = factor(n, budget_rho)
-    if not fac.complete:
-        return TwoSquares("unknown")
+    if mode == "exact":
+        fac = factor(n, budget_rho)
+        if not fac.complete:
+            return TwoSquares("unknown")
+        factors = fac.factors
+    elif mode == "fast":
+        s = (n & -n).bit_length() - 1
+        m = n >> s
+        if m % 4 == 3:
+            return TwoSquares("absent")
+        if m > 1 and not is_prime(m):
+            return TwoSquares("unknown")
+        factors = ((2, s), (m, 1)) if m > 1 else ((2, s),)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     scale = 1
     z = (1, 0)
-    for p, e in fac.factors:
+    for p, e in factors:
         if p == 2:
             for _ in range(e):
                 z = gauss_mul(z, (1, 1))

@@ -167,6 +167,36 @@ def test_env_defaults(capsys, monkeypatch):
     assert out.startswith("{")
 
 
+def test_bad_config_exits_2(capsys):
+    for argv in (
+        ("predict", "5", "29", "0", "1", "--c-gamma", "0"),
+        ("predict", "5", "29", "0", "1", "--gamma", "nan"),
+        ("predict", "5", "29", "0", "1", "--c-gamma", "inf"),
+        ("navigate-diagonal", "5", "29", "1", "2", "--h-max-slack", "-20"),
+        ("navigate", "5", "29", "1", "2", "3", "7", "--budget-rho", "-1"),
+        ("navigate", "5", "29", "1", "2", "3", "7", "--s-cap", "-1"),
+        ("four-squares", "50", "5", "0", "0", "--budget-rho", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "error:" in err
+
+
+def test_bad_env_value_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("LPSNAV_GAMMA", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "5", "29", "0", "1"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    monkeypatch.delenv("LPSNAV_GAMMA")
+    monkeypatch.setenv("LPSNAV_MODE", "slow")
+    code, out, err = run(capsys, "navigate-diagonal", "5", "29", "1", "2")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_argparse_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["four-squares", "50", "5"])  # missing residues

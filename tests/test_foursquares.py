@@ -2,6 +2,7 @@
 
 import math
 import random
+import signal
 
 import pytest
 
@@ -177,3 +178,21 @@ def test_big_instance_fast_mode():
     res = solve(FourSquaresInstance(n, m, x % m, y % m), mode="fast")
     assert res.status == "found"
     check_solution(res.solution, n, m, x % m, y % m)
+
+
+def test_huge_instance_returns():
+    """Rows are seeded lazily, so a first-candidate hit returns at once even
+    when the ellipse has ~10^31 rows."""
+
+    def timeout(_signum, _frame):
+        raise TimeoutError("solve did not return within 10 s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        res = solve(FourSquaresInstance(10**66 + 1, 10, 1, 0))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert res.status == "found"
+    check_solution(res.solution, 10**66 + 1, 10, 1, 0)

@@ -174,9 +174,22 @@ def brute_two_squares(n: int):
     return None
 
 
-def test_two_squares_small_exhaustive():
+def fast_declines(n: int) -> bool:
+    """Fast mode leaves n undecided exactly when its odd part is a composite
+    ≡ 1 (mod 4)."""
+    if n == 0:
+        return False
+    m = n >> ((n & -n).bit_length() - 1)
+    return m % 4 == 1 and m > 1 and not sympy.isprime(m)
+
+
+@pytest.mark.parametrize("mode", ["exact", "fast"])
+def test_two_squares_small_exhaustive(mode):
     for n in range(0, 3000):
-        res = two_squares(n)
+        res = two_squares(n, mode=mode)
+        if mode == "fast" and res.status == "unknown":
+            assert fast_declines(n), n
+            continue
         brute = brute_two_squares(n)
         if brute is None:
             assert res.status == "absent", n
@@ -185,6 +198,22 @@ def test_two_squares_small_exhaustive():
             assert res.status == "found", n
             x, y = res.pair
             assert x * x + y * y == n and 0 <= x <= y
+    if mode == "exact":
+        return
+    # Fast verdicts are the exact ones, except "unknown" where fast declines.
+    rng = random.Random(16)
+    values = list(range(20000))
+    for _ in range(100):
+        s = rng.randrange(0, 40)
+        p = next_prime_at_least(rng.randrange(3, 10**30))
+        p2 = next_prime_at_least(rng.randrange(3, 10**8))
+        p3 = next_prime_at_least(rng.randrange(3, 10**8))
+        values += [2**s * p, 2**s * p2 * p3]
+    for n in values:
+        fast = two_squares(n, mode="fast")
+        assert (fast.status == "unknown") == fast_declines(n), n
+        if fast.status != "unknown":
+            assert fast == two_squares(n), n
 
 
 def test_two_squares_big():
