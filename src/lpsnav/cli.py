@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 bad parameters (including argparse errors), 3 budget
-or certification exhaustion (a four-squares "unknown" counts).  JSON output is
-canonical — sorted keys, two-space indent — and validated against the schema
-table before printing; integers that may exceed 2^53 are emitted as decimal
-strings.  Wall-clock time goes to stderr so stdout stays machine-readable.
+Exit codes: 0 success, 1 a failed `verify` check, 2 bad parameters (including
+argparse errors), 3 budget or certification exhaustion (a four-squares
+"unknown" counts), 141 stdout closed by its reader before the output was
+written (no traceback; 128 + SIGPIPE, as a shell reports a writer killed by
+SIGPIPE).  JSON output is canonical — sorted keys, two-space indent — and
+validated against the schema table before printing; integers that may exceed
+2^53 are emitted as decimal strings.  Wall-clock time goes to stderr so stdout
+stays machine-readable.
 """
 
 from __future__ import annotations
@@ -364,11 +367,20 @@ def _text_lines(payload: dict, prefix: str = "") -> list[str]:
     return lines
 
 
-def _emit(payload: dict, output: str) -> None:
+def _emit(payload: dict, output: str) -> bool:
+    """Print the payload; False when the reader closed stdout first."""
     if output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        text = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        print("\n".join(_text_lines(payload)))
+        text = "\n".join(_text_lines(payload))
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush cannot
+        # raise again (the recipe of the Python docs' signal module notes).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -378,7 +390,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         name, payload, code = args.handler(args)
         validate(payload, SCHEMAS[name])
-        _emit(payload, args.output)
+        if not _emit(payload, args.output):
+            code = 141
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2

@@ -20,13 +20,12 @@ from typing import Iterator, Optional
 
 from .errors import InfeasibleCongruence, ParameterError
 from .lattice2 import (
+    SolutionLattice,
     Vec2,
-    congruence_lattice,
     dot,
-    gauss_reduce,
     norm_sq,
-    particular_solution,
     shortest_coset_vector,
+    solution_lattice,
 )
 from .ntheory import DEFAULT_RHO_BUDGET, two_squares
 
@@ -119,23 +118,41 @@ class SolveResult:
     tried: int = 0
 
 
-def build_form(inst: FourSquaresInstance) -> CandidateForm:
+def build_form(
+    inst: FourSquaresInstance, lattice: Optional[SolutionLattice] = None
+) -> CandidateForm:
     """Reduce an instance to its candidate quadratic F.
 
-    Raises InfeasibleCongruence when gcd(2*r1, 2*r2, M) does not divide k —
-    then the congruence has no solutions at all and the instance is certified
-    unsolvable.
+    `lattice` is the `SolutionLattice` of the instance's congruence
+    2*r1*t1 + 2*r2*t2 ≡ k (mod M); a caller that solves many instances
+    sharing one lattice passes it in, otherwise it is built here.  Raises
+    InfeasibleCongruence when gcd(2*r1, 2*r2, M) does not divide k — then
+    the congruence has no solutions at all and the instance is certified
+    unsolvable — and RuntimeError when a passed lattice does not fit.
     """
     m = inst.modulus
     r1, r2 = inst.r1 % m, inst.r2 % m
     k = (inst.n - r1 * r1 - r2 * r2) // m
-    u1, u2 = gauss_reduce(*congruence_lattice(2 * r1 % m, 2 * r2 % m, m))
-    t_part = particular_solution(2 * r1 % m, 2 * r2 % m, k % m, m)
+    c1, c2 = 2 * r1 % m, 2 * r2 % m
+    if lattice is None:
+        lattice = solution_lattice(c1, c2, m)
+    (u1, u2), unit, g = lattice
+    if k % g:
+        raise InfeasibleCongruence(f"gcd({c1}, {c2}, {m}) = {g} does not divide {k}")
+    # (m/g)·Z² lies in the lattice, so reducing mod m/g keeps the coset.
+    mg = m // g
+    s = k // g % mg
+    t_part = (s * unit[0] % mg, s * unit[1] % mg)
+    if (c1 * t_part[0] + c2 * t_part[1] - k) % m:
+        raise RuntimeError(f"{unit} does not solve the congruence of {inst} for k = {g}")
+    if abs(u1[0] * u2[1] - u1[1] * u2[0]) != mg:
+        raise RuntimeError(f"basis {u1}, {u2} has the wrong index for {inst}")
     u0 = shortest_coset_vector((u1, u2), t_part)
 
     def scalar(v: Vec2, shift: int) -> int:
-        num = shift - 2 * (r1 * v[0] + r2 * v[1]) if shift else -2 * (r1 * v[0] + r2 * v[1])
-        assert num % m == 0
+        num = shift - 2 * (r1 * v[0] + r2 * v[1])
+        if num % m:
+            raise RuntimeError(f"{v} is off the congruence lattice of {inst}")
         return num // m
 
     u0p = scalar(u0, k)
@@ -267,6 +284,7 @@ def solve(
     inst: FourSquaresInstance,
     mode: str = "auto",
     budget_rho: int = DEFAULT_RHO_BUDGET,
+    lattice: Optional[SolutionLattice] = None,
 ) -> SolveResult:
     """Find x² + y² + z² + w² = n with the instance congruences, or certify.
 
@@ -275,6 +293,9 @@ def solve(
     certificate and "unknown" means only factoring-budget exhaustion; under
     "fast", "unknown" may stand where "absent" is the truth.
 
+    `lattice`, when given, is the instance's solution lattice and goes to
+    `build_form` unchanged.
+
     Determinism: identical instance, mode and budget give identical output —
     the candidate stream and all certifications are deterministic.
     """
@@ -282,7 +303,7 @@ def solve(
     m = inst.modulus
     zero_residues = inst.r1 % m == 0 and inst.r2 % m == 0
     try:
-        form = build_form(inst)
+        form = build_form(inst, lattice)
     except InfeasibleCongruence:
         return SolveResult("absent")
     tainted = False

@@ -4,12 +4,15 @@ The solution set of c1*t1 + c2*t2 ≡ 0 (mod m) is a sublattice of Z² of index
 m / gcd(c1, c2, m).  This module builds an explicit basis for it, Gauss
 (Lagrange) reduces rank-2 bases, and picks short coset representatives for the
 inhomogeneous congruence — the three primitives the four-squares solver rests
-on.
+on — and bundles the first two with one particular solution as the
+`SolutionLattice` of a congruence, which describes its solutions for every
+right-hand side at once.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .errors import InfeasibleCongruence
 from .ntheory import xgcd
@@ -24,6 +27,8 @@ __all__ = [
     "gauss_reduce",
     "particular_solution",
     "shortest_coset_vector",
+    "SolutionLattice",
+    "solution_lattice",
 ]
 
 
@@ -118,6 +123,30 @@ def particular_solution(c1: int, c2: int, k: int, m: int) -> Vec2:
     t = ((alpha * u) % m, (beta * u) % m)
     assert (c1 * t[0] + c2 * t[1] - k) % m == 0
     return t
+
+
+class SolutionLattice(NamedTuple):
+    """The solutions of c1*t1 + c2*t2 ≡ k (mod m) for every k at once.
+
+    `basis` is a Gauss-reduced basis of the homogeneous solutions, g is
+    gcd(c1, c2, m) and `unit` solves the congruence for k = g.  The solution
+    set is empty unless g divides k, and is (k/g)*unit + span(basis) when it
+    does.
+    """
+
+    basis: tuple[Vec2, Vec2]
+    unit: Vec2
+    g: int
+
+
+def solution_lattice(c1: int, c2: int, m: int) -> SolutionLattice:
+    """The `SolutionLattice` of c1*t1 + c2*t2 ≡ k (mod m)."""
+    g = math.gcd(c1, c2, m)
+    return SolutionLattice(
+        gauss_reduce(*congruence_lattice(c1, c2, m)),
+        particular_solution(c1, c2, g, m),
+        g,
+    )
 
 
 def shortest_coset_vector(basis: tuple[Vec2, Vec2], w: Vec2) -> Vec2:

@@ -20,7 +20,14 @@ from typing import Iterator, Optional
 from .errors import BudgetExhausted, HMaxExceeded, ParameterError
 from .foursquares import FourSquaresInstance, solve, solve_mode
 from .ntheory import DEFAULT_RHO_BUDGET, legendre, sqrt_mod
-from .lattice2 import Vec2, congruence_lattice, gauss_reduce, norm_sq
+from .lattice2 import (
+    SolutionLattice,
+    Vec2,
+    congruence_lattice,
+    gauss_reduce,
+    norm_sq,
+    solution_lattice,
+)
 from .quaternion import (
     GraphParams,
     PslElement,
@@ -168,6 +175,35 @@ def _vertex_checked(vertex: DiagonalVertex, params: GraphParams) -> None:
         )
 
 
+def _height_instances(
+    params: GraphParams, a: int, b: int
+) -> Iterator[tuple[FourSquaresInstance, SolutionLattice]]:
+    """The vertex congruence at heights 0, 1, 2, ..., each with its lattice.
+
+    With (r1, r2) ≡ λ(a, b) (mod q), height h's congruence
+    2*r1*t1 + 2*r2*t2 ≡ k (mod 2q) says λ(a*t1 + b*t2) ≡ k/2 (mod q), λ a
+    unit: its lattice is that of (a, b) mod q at every height, its gcd is 2,
+    and λ⁻¹·e solves it for k = 2 when a*e1 + b*e2 ≡ 1 (mod q).  So the
+    lattice is reduced once per vertex, and λ, λ⁻¹ and p^h advance by one
+    multiplication each per height.
+    """
+    q, p = params.q, params.p
+    nsq = (a * a + b * b) % q
+    mu0 = sqrt_mod(pow(nsq, -1, q), q)
+    basis, e, _ = solution_lattice(a, b, q)
+    sqrt_p_inv = pow(params.sqrt_p, -1, q)
+    lam, lam_inv = mu0, mu0 * nsq % q  # λ and λ⁻¹ at h = 0; mu0² ≡ 1/nsq
+    n = 1
+    while True:
+        r1 = _parity_lift(lam * a, 1, q)
+        r2 = _parity_lift(lam * b, 0, q)
+        unit = (lam_inv * e[0] % q, lam_inv * e[1] % q)
+        yield FourSquaresInstance(n, 2 * q, r1, r2), SolutionLattice(basis, unit, 2)
+        n *= p
+        lam = lam * params.sqrt_p % q
+        lam_inv = lam_inv * sqrt_p_inv % q
+
+
 def _solve_heights(
     params: GraphParams, a: int, b: int, cfg: NavConfig
 ) -> tuple[int, tuple[int, int, int, int], str]:
@@ -178,20 +214,10 @@ def _solve_heights(
     it raises BudgetExhausted.  One λ sign suffices: negating (x, y) swaps the
     two λ-lifts bijectively, so the solution sets at every height agree.
     """
-    q, p = params.q, params.p
-    nsq = (a * a + b * b) % q
-    mu0 = sqrt_mod(pow(nsq, -1, q), q)
-    n = 1
-    for h in range(_least_height(1, p, q) + cfg.h_max_slack + 1):
-        lam = mu0 * pow(params.sqrt_p, h, q) % q
-        r1 = _parity_lift(lam * a, 1, q)
-        r2 = _parity_lift(lam * b, 0, q)
-        mode = solve_mode(cfg.mode, n)
-        res = solve(
-            FourSquaresInstance(n, 2 * q, r1, r2),
-            mode=mode,
-            budget_rho=cfg.budget_rho,
-        )
+    h_cap = _least_height(1, params.p, params.q) + cfg.h_max_slack
+    for h, (inst, lattice) in zip(range(h_cap + 1), _height_instances(params, a, b)):
+        mode = solve_mode(cfg.mode, inst.n)
+        res = solve(inst, mode=mode, budget_rho=cfg.budget_rho, lattice=lattice)
         if res.status == "found":
             if res.solution is None:
                 raise RuntimeError(f"'found' without a solution at height {h}")
@@ -201,7 +227,6 @@ def _solve_heights(
                 f"factoring budget exhausted at height {h}; "
                 "minimality not certified"
             )
-        n *= p
     raise HMaxExceeded(f"no path found up to the height cap for ({a}, {b})")
 
 

@@ -130,6 +130,29 @@ def test_criterion_2_solver_vs_exhaustive_oracle():
     assert checked >= 30000
 
 
+@pytest.mark.parametrize("m", [58, 82, 12, 20, 9, 25, 4, 2, 1])
+def test_solver_vs_exhaustive_oracle_on_even_and_composite_moduli(m):
+    """Criterion 2's check on the kind of modulus the navigator solves with
+    (M = 2q: even and composite), plus prime powers and the trivial moduli:
+    every n <= 700 and admissible residue pair, zero "unknown" verdicts."""
+    limit = 700
+    sos = _sum_two_squares_table(limit)
+    for n in range(limit + 1):
+        for r1 in range(m):
+            for r2 in range(m):
+                if (r1 * r1 + r2 * r2 - n) % m:
+                    continue
+                res = solve(FourSquaresInstance(n, m, r1, r2), mode="exact")
+                if _oracle_has_solution(n, m, r1, r2, sos):
+                    assert res.status == "found", (n, m, r1, r2)
+                    x, y, z, w = res.solution
+                    assert x * x + y * y + z * z + w * w == n
+                    assert (x - r1) % m == 0 and (y - r2) % m == 0
+                    assert z % m == 0 and w % m == 0
+                else:
+                    assert res.status == "absent", (n, m, r1, r2)
+
+
 # --------------------------------------------------------------------------
 # Criterion 3: hundred-digit parameters navigate to the expected heights.
 def test_criterion_3_hundred_digit_navigation():

@@ -1,9 +1,14 @@
 """CLI surface: payload schemas, exit codes, determinism, both output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lpsnav
 from lpsnav.cli import main
 from lpsnav.schemas import SCHEMAS, SchemaError, validate
 
@@ -195,6 +200,24 @@ def test_bad_env_value_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    """A reader that closed the pipe (`| head -1`) gets no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(lpsnav.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lpsnav.cli", "four-squares", "1000000000001", "10", "1", "0"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert "elapsed" in proc.stderr
 
 
 def test_argparse_error_exits_2(capsys):
