@@ -288,21 +288,31 @@ def _brent_rho(n: int, budget: _Budget, rng: random.Random) -> Optional[int]:
     return None
 
 
-def factor(n: int, budget_rho: int = DEFAULT_RHO_BUDGET) -> Factorization:
-    """Factor n >= 1 by trial division then budgeted Brent rho.
+def _trial_division(n: int) -> Iterator[tuple[int, int, int]]:
+    """Divide the primes below the trial bound out of n >= 1, smallest first.
 
-    The budget caps total rho iterations across the whole call.  Pieces left
-    unfactored when it runs out are multiplied into `cofactor`.
+    Yields (p, e, rest) for each such p with p^e exactly dividing n, where
+    rest is n with every prime up to p divided out.  Stops once p² exceeds
+    what is left, so the last rest (n itself when nothing is yielded) is 1, a
+    prime, or has no prime factor below the bound.
     """
-    if n < 1:
-        raise ValueError("factor() needs n >= 1")
-    found: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
-            break
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
+            return
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e, n
+
+
+def _rho_split(n: int, budget_rho: int, found: dict[int, int]) -> int:
+    """Split n >= 1 into primes by Brent rho, counting each prime into `found`.
+
+    The budget caps total rho iterations across the call.  Returns the
+    product of the pieces left unsplit when it runs out (1 when complete).
+    """
     budget = _Budget(budget_rho)
     rng = random.Random(0xB4E57)  # fixed seed: reproducible rho attempts
     cofactor = 1
@@ -323,6 +333,22 @@ def factor(n: int, budget_rho: int = DEFAULT_RHO_BUDGET) -> Factorization:
             cofactor *= m
             continue
         stack.extend((d, m // d))
+    return cofactor
+
+
+def factor(n: int, budget_rho: int = DEFAULT_RHO_BUDGET) -> Factorization:
+    """Factor n >= 1 by trial division then budgeted Brent rho.
+
+    The budget caps total rho iterations across the whole call.  Pieces left
+    unfactored when it runs out are multiplied into `cofactor`.
+    """
+    if n < 1:
+        raise ValueError("factor() needs n >= 1")
+    found: dict[int, int] = {}
+    rest = n
+    for p, e, rest in _trial_division(n):
+        found[p] = e
+    cofactor = _rho_split(rest, budget_rho, found)
     return Factorization(tuple(sorted(found.items())), cofactor)
 
 
@@ -369,14 +395,21 @@ def sqrt_mod(a: int, p: int) -> int:
 
 
 def two_squares_prime(p: int) -> tuple[int, int]:
-    """Write a prime p = 2 or p ≡ 1 (mod 4) as x² + y² with 0 < x <= y.
-
-    Cornacchia/Hermite-Serret descent from a square root of -1 mod p.
-    """
+    """Write a prime p = 2 or p ≡ 1 (mod 4) as x² + y² with 0 < x <= y."""
     if p == 2:
         return (1, 1)
     if p % 4 != 1 or not is_prime(p):
         raise ValueError("p must be 2 or a prime ≡ 1 (mod 4)")
+    return _cornacchia(p)
+
+
+def _cornacchia(p: int) -> tuple[int, int]:
+    """(x, y) with x² + y² = p and 0 < x <= y, for p a certified prime ≡ 1 (mod 4).
+
+    Cornacchia/Hermite-Serret descent from a square root of -1 mod p.  The
+    caller vouches for primality; a p that is not such a prime leaves a
+    non-square remainder, which raises RuntimeError.
+    """
     r = sqrt_mod(p - 1, p)
     a, b = p, r
     limit = math.isqrt(p)
@@ -385,9 +418,9 @@ def two_squares_prime(p: int) -> tuple[int, int]:
     x = b
     y2 = p - x * x
     y = math.isqrt(y2)
-    assert y * y == y2, "Cornacchia descent failed"
-    x, y = min(x, y), max(x, y)
-    return (x, y)
+    if y * y != y2:
+        raise RuntimeError(f"Cornacchia descent failed: {p} is not a prime ≡ 1 (mod 4)")
+    return (min(x, y), max(x, y))
 
 
 @dataclass(frozen=True)
@@ -412,44 +445,51 @@ def two_squares(
     criterion certifies no representation (some prime ≡ 3 mod 4 divides n to
     an odd power), or "unknown" when the criterion was not decided.
 
-    Two admission policies: "exact" fully factors n, so "unknown" means only
-    that the rho budget ran out; "fast" writes n = 2^s * m and factors
-    nothing — it certifies m = 1 and prime m ≡ 1 (mod 4), rejects m ≡ 3
-    (mod 4) outright (never a sum of two squares), and answers "unknown" for
-    the composite m ≡ 1 (mod 4) it declines to factor.
+    Each verdict comes from the cheapest test that proves it.  Both admission
+    policies write n = 2^s * m and answer "absent" at once when m ≡ 3 (mod 4),
+    since then some prime ≡ 3 (mod 4) divides m to an odd power.  "exact"
+    then trial-divides m, stops with "absent" at the first small prime ≡ 3
+    (mod 4) that divides it to an odd power, and hands what is left to Brent
+    rho, so "unknown" means only that the rho budget ran out.  "fast" factors
+    nothing: it certifies m = 1 and prime m ≡ 1 (mod 4), and answers
+    "unknown" for the composite m ≡ 1 (mod 4) it declines to factor.  Primes
+    certified on the way go straight to the Cornacchia descent.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return TwoSquares("found", (0, 0))
-    if mode == "exact":
-        fac = factor(n, budget_rho)
-        if not fac.complete:
-            return TwoSquares("unknown")
-        factors = fac.factors
-    elif mode == "fast":
-        s = (n & -n).bit_length() - 1
-        m = n >> s
-        if m % 4 == 3:
-            return TwoSquares("absent")
-        if m > 1 and not is_prime(m):
-            return TwoSquares("unknown")
-        factors = ((2, s), (m, 1)) if m > 1 else ((2, s),)
-    else:
+    if mode not in ("exact", "fast"):
         raise ValueError(f"unknown mode {mode!r}")
+    s = (n & -n).bit_length() - 1
+    m = n >> s
+    if m % 4 == 3:
+        return TwoSquares("absent")
+    primes: dict[int, int] = {}
+    if mode == "exact":
+        rest = m
+        for p, e, rest in _trial_division(m):
+            if p % 4 == 3 and e % 2 == 1:
+                return TwoSquares("absent")
+            primes[p] = e
+        if _rho_split(rest, budget_rho, primes) != 1:
+            return TwoSquares("unknown")
+    elif m > 1:
+        if not is_prime(m):
+            return TwoSquares("unknown")
+        primes[m] = 1
     scale = 1
     z = (1, 0)
-    for p, e in factors:
-        if p == 2:
-            for _ in range(e):
-                z = gauss_mul(z, (1, 1))
-        elif p % 4 == 1:
-            rep = two_squares_prime(p)
+    for _ in range(s):
+        z = gauss_mul(z, (1, 1))
+    for p, e in primes.items():
+        if p % 4 == 1:
+            rep = _cornacchia(p)
             for _ in range(e):
                 z = gauss_mul(z, rep)
+        elif e % 2 == 1:
+            return TwoSquares("absent")
         else:
-            if e % 2 == 1:
-                return TwoSquares("absent")
             scale *= p ** (e // 2)
     x, y = abs(z[0]) * scale, abs(z[1]) * scale
     x, y = min(x, y), max(x, y)

@@ -89,7 +89,8 @@ class Quat:
         return math.gcd(math.gcd(abs(self.a), abs(self.b)), math.gcd(abs(self.c), abs(self.d)))
 
     def divexact(self, n: int) -> "Quat":
-        assert all(x % n == 0 for x in self.coords())
+        if any(x % n for x in self.coords()):
+            raise RuntimeError(f"{self!r} is not divisible by {n}")
         return Quat(self.a // n, self.b // n, self.c // n, self.d // n)
 
     def reduced(self, q: int) -> "Quat":
@@ -290,13 +291,18 @@ def factor_into_generators(alpha: Quat, gens: GeneratorSet) -> list[int]:
         raise FactorizationError("norm is not a power of p")
     if alpha.content() % p == 0:
         raise FactorizationError("not primitive: every coordinate divisible by p")
+    # quats[conj[i]] is the conjugate of generator i.
+    conjugates = [gens.quats[j] for j in gens.conj]
     word: list[int] = []
     cur = alpha
     for _ in range(h):
+        # g divides cur on the left iff every coordinate of conj(g)·cur is
+        # ≡ 0 (mod p), which only needs cur mod p.
+        small = cur.reduced(p)
         hits = [
             i
-            for i, g in enumerate(gens.quats)
-            if all(x % p == 0 for x in (g.conjugate() * cur).coords())
+            for i, gc in enumerate(conjugates)
+            if not any(x % p for x in (gc * small).coords())
         ]
         if not hits:
             raise FactorizationError("no generator divides at this step")
@@ -304,7 +310,7 @@ def factor_into_generators(alpha: Quat, gens: GeneratorSet) -> list[int]:
             raise FactorizationError("ambiguous peeling step")
         i = hits[0]
         word.append(i)
-        cur = (gens.quats[i].conjugate() * cur).divexact(p)
+        cur = (conjugates[i] * cur).divexact(p)
     if cur.coords() not in ((1, 0, 0, 0), (-1, 0, 0, 0)):
         raise FactorizationError("residual unit is not ±1")
     return word

@@ -6,8 +6,10 @@ import random
 import pytest
 import sympy
 
+from lpsnav import ntheory
 from lpsnav.ntheory import (
     Factorization,
+    TwoSquares,
     factor,
     gauss_gcd,
     is_prime,
@@ -235,6 +237,82 @@ def test_two_squares_unknown_when_budget_fails():
     if res.status == "found":
         a, b = res.pair
         assert a * a + b * b == p * q
+
+
+def test_two_squares_absent_without_rho():
+    """The mod-4 rule and trial division certify "absent" before any rho step."""
+    p1 = next_prime_at_least(10**16, condition=lambda n: n % 4 == 1)
+    p2 = next_prime_at_least(2 * 10**16, condition=lambda n: n % 4 == 3)
+    p3 = next_prime_at_least(3 * 10**16, condition=lambda n: n % 4 == 3)
+    # Odd part ≡ 3 (mod 4).
+    assert (p1 * p2) % 4 == 3
+    for s in (0, 3):
+        assert two_squares(2**s * p1 * p2, budget_rho=0) == TwoSquares("absent")
+    # Odd part ≡ 1 (mod 4), but 3 divides it to an odd power.
+    n = 3 * 7 * p2 * p3
+    assert n % 4 == 1
+    assert two_squares(n, budget_rho=0) == TwoSquares("absent")
+    # Without a small witness the budget still decides.
+    assert two_squares(p2 * p3, budget_rho=0) == TwoSquares("unknown")
+
+
+def reference_two_squares(n: int) -> TwoSquares:
+    """Compose x + iy over sympy's factorization of n, one prime at a time in
+    descending order: (1 + i) for 2, the canonical x² + y² = p for p ≡ 1
+    (mod 4), and p^(e/2) for p ≡ 3 (mod 4)."""
+    if n == 0:
+        return TwoSquares("found", (0, 0))
+    re, im = 1, 0
+    for p, e in sorted(sympy.factorint(n).items(), reverse=True):
+        if p % 4 == 3:
+            if e % 2:
+                return TwoSquares("absent")
+            re, im = re * p ** (e // 2), im * p ** (e // 2)
+            continue
+        x, y = (1, 1) if p == 2 else two_squares_prime(p)
+        for _ in range(e):
+            re, im = re * x - im * y, re * y + im * x
+    x, y = sorted((abs(re), abs(im)))
+    return TwoSquares("found", (x, y))
+
+
+def test_two_squares_matches_reference_composition():
+    """Exact verdicts and pairs equal a composition over sympy.factorint: the
+    same pair, not only a valid one, so words built from them stay fixed."""
+    rng = random.Random(17)
+    values = list(range(3000))
+    values += [rng.randrange(2**60, 2**70) for _ in range(200)]
+    values += [rng.randrange(2**30, 2**35) ** 2 + rng.randrange(2**30, 2**35) ** 2
+               for _ in range(100)]
+    for n in values:
+        assert two_squares(n) == reference_two_squares(n), n
+
+
+def test_prime_certified_once(monkeypatch):
+    """A prime that a two-squares verdict certifies is tested once, not
+    again before its descent."""
+    p = next_prime_at_least(10**100, condition=lambda n: n % 4 == 1)
+    p1 = next_prime_at_least(10**9, condition=lambda n: n % 4 == 1)
+    p2 = next_prime_at_least(2 * 10**9, condition=lambda n: n % 4 == 1)
+    calls = []
+    monkeypatch.setattr(ntheory, "is_prime", lambda n, *a, **k: calls.append(n) or is_prime(n))
+    res = two_squares(2**5 * p, mode="fast")
+    assert res.status == "found" and calls == [p]
+    calls.clear()
+    res = two_squares(p1 * p2)
+    assert res.status == "found" and sorted(calls) == [p1, p2, p1 * p2]
+
+
+def test_descent_check_survives_optimization(monkeypatch):
+    """A failed Cornacchia descent is a RuntimeError, not an assert that
+    python -O strips: it is the only check on a prime passed in untested."""
+    monkeypatch.setattr(ntheory, "sqrt_mod", lambda a, p: 1)  # not a root of -1
+    with pytest.raises(RuntimeError):
+        two_squares_prime(13)
+    with pytest.raises(RuntimeError):
+        two_squares(13)
+    with pytest.raises(RuntimeError):
+        two_squares(2 * 13, mode="fast")
 
 
 def test_gauss_gcd():

@@ -1,5 +1,7 @@
 """Quaternion arithmetic, generator sets, and word factorization."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -191,6 +193,65 @@ def test_factor_rejects_bad_inputs():
         factor_into_generators(Quat(0, 3, 4, 0), gens)
     with pytest.raises(FactorizationError):
         factor_into_generators(Quat(4, 3, 0, 0), gens)
+
+
+def full_product_peel(alpha, gens):
+    """Peeling by p + 1 full quaternion products per letter: the reference
+    for factor_into_generators, which tests generators on alpha mod p."""
+    p = gens.p
+    n, h = alpha.norm(), 0
+    while n % p == 0:
+        n, h = n // p, h + 1
+    if n != 1 or alpha.content() % p == 0:
+        raise FactorizationError("not primitive of norm p^h")
+    word, cur = [], alpha
+    for _ in range(h):
+        hits = [i for i, g in enumerate(gens.quats)
+                if all(x % p == 0 for x in (g.conjugate() * cur).coords())]
+        if len(hits) != 1:
+            raise FactorizationError("no or ambiguous step")
+        word.append(hits[0])
+        cur = gens.quats[hits[0]].conjugate() * cur
+        cur = Quat(*(x // p for x in cur.coords()))
+    if cur.coords() not in ((1, 0, 0, 0), (-1, 0, 0, 0)):
+        raise FactorizationError("residual unit is not ±1")
+    return word
+
+
+@pytest.mark.parametrize("p", [5, 13, 17])
+def test_peel_matches_full_product_reference(p):
+    """Same word, or the same refusal, as full-product peeling on products of
+    norm-p quaternions of every parity, so some are not generator words and,
+    with backtracking, some are imprimitive."""
+    gens = lps_generators(p)
+    r = math.isqrt(p)
+    norm_p = [Quat(*c) for c in itertools.product(range(-r, r + 1), repeat=4)
+              if sum(x * x for x in c) == p]
+    assert len(norm_p) == 8 * (p + 1)
+    rng = random.Random(37 + p)
+    peeled = refused = 0
+    for _ in range(300):
+        alpha = Quat(1, 0, 0, 0)
+        for _ in range(rng.randrange(0, 7)):
+            alpha = alpha * rng.choice(norm_p)
+        try:
+            expected = full_product_peel(alpha, gens)
+        except FactorizationError:
+            refused += 1
+            with pytest.raises(FactorizationError):
+                factor_into_generators(alpha, gens)
+        else:
+            peeled += 1
+            assert factor_into_generators(alpha, gens) == expected
+    assert peeled > 20 and refused > 20
+
+
+def test_divexact_check_survives_optimization():
+    """An inexact division is a RuntimeError, not an assert that python -O
+    strips: peeling relies on it."""
+    assert Quat(2, -4, 6, 8).divexact(2) == Quat(1, -2, 3, 4)
+    with pytest.raises(RuntimeError):
+        Quat(2, 4, 6, 7).divexact(2)
 
 
 def test_word_utilities():
