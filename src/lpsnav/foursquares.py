@@ -87,8 +87,6 @@ class CandidateForm:
     u0p: int
     u1p: int
     u2p: int
-    d1sq: int  # (2*M*|u1|)²  — box predicates stay in integers
-    d2sq: int  # (2*M*|u2|)²
 
     def point(self, x1: int, x2: int) -> Vec2:
         return (
@@ -99,14 +97,6 @@ class CandidateForm:
     def f_value(self, x1: int, x2: int) -> int:
         t1, t2 = self.point(x1, x2)
         return self.u0p - x1 * self.u1p - x2 * self.u2p - t1 * t1 - t2 * t2
-
-    def in_box(self, x1: int, x2: int, scale: int = 1) -> bool:
-        """Membership in scale*C, where C = [-A, A] x [-B, B] (exact integer test)."""
-        s2n = scale * scale * self.n
-        if x1 * x1 * self.d1sq > s2n:
-            return False
-        m = abs(x2) + scale
-        return m * m * self.d2sq <= s2n
 
 
 @dataclass(frozen=True)
@@ -169,37 +159,23 @@ def build_form(
         u0p=u0p,
         u1p=u1p,
         u2p=u2p,
-        d1sq=4 * m * m * norm_sq(u1),
-        d2sq=4 * m * m * norm_sq(u2),
     )
 
 
-def _quadratic_interval(a: int, b: int, c: int, poly) -> Optional[tuple[int, int]]:
+def _quadratic_interval(a: int, b: int, c: int) -> Optional[tuple[int, int]]:
     """Integer interval {x : a*x² + b*x + c >= 0} for a < 0; None when empty.
 
-    `poly` must evaluate the same quadratic exactly; endpoints from the
-    integer square root are corrected by direct evaluation.
+    With A = -a and D = b² - 4ac the condition is (2A*x - b)² <= D, which for
+    an integer x is |2A*x - b| <= isqrt(D): the bounds are exact.
     """
-    assert a < 0
+    if a >= 0:
+        raise RuntimeError(f"leading coefficient {a} is not negative")
     disc = b * b - 4 * a * c
     if disc < 0:
         return None
     s = math.isqrt(disc)
-    lo = (-b + s) // (2 * a) - 1  # floor division by negative: rounds toward -inf
-    hi = (-b - s) // (2 * a) + 1
-    for _ in range(8):
-        if poly(lo) >= 0:
-            break
-        lo += 1
-    for _ in range(8):
-        if poly(hi) >= 0:
-            break
-        hi -= 1
-    if lo > hi:
-        return None
-    assert poly(lo) >= 0 and poly(hi) >= 0
-    assert poly(lo - 1) < 0 and poly(hi + 1) < 0
-    return (lo, hi)
+    lo, hi = -((s - b) // (-2 * a)), (b + s) // (-2 * a)
+    return (lo, hi) if lo <= hi else None
 
 
 def _row_points(lo: int, hi: int) -> Iterator[int]:
@@ -239,8 +215,7 @@ def _row_range(form: CandidateForm) -> Optional[tuple[int, int]]:
     a2 = b1 * b1 + 4 * alpha * g2
     b2 = 2 * b0 * b1 + 4 * alpha * g1
     c2 = b0 * b0 + 4 * alpha * g0
-    assert a2 < 0
-    return _quadratic_interval(a2, b2, c2, lambda x: (a2 * x + b2) * x + c2)
+    return _quadratic_interval(a2, b2, c2)
 
 
 def enumerate_candidates(form: CandidateForm) -> Iterator[tuple[tuple[int, int], int]]:
@@ -261,8 +236,7 @@ def enumerate_candidates(form: CandidateForm) -> Iterator[tuple[tuple[int, int],
     while True:
         while x2_next is not None and (not heap or x2_next * x2_next <= heap[0][0][0]):
             x2, x2_next = x2_next, next(unseeded, None)
-            a, b, c = _f_coeffs(form, x2)
-            iv = _quadratic_interval(a, b, c, lambda x, _a=a, _b=b, _c=c: (_a * x + _b) * x + _c)
+            iv = _quadratic_interval(*_f_coeffs(form, x2))
             if iv is None:
                 continue
             it = _row_points(*iv)

@@ -75,11 +75,10 @@ def congruence_lattice(c1: int, c2: int, m: int) -> tuple[Vec2, Vec2]:
     else:
         inv = pow(c2 // d2, -1, m2)
         y0 = (-(c1 * s) // d2 * inv) % m2
-    w1 = (s, y0)
-    w2 = (0, m2)
-    assert (c1 * w1[0] + c2 * w1[1]) % m == 0
-    assert w1[0] * w2[1] - w1[1] * w2[0] == m // math.gcd(math.gcd(c1, c2), m)
-    return (w1, w2)
+    # The basis is triangular, so its determinant is s * m2.
+    if (c1 * s + c2 * y0) % m or s * m2 != m // math.gcd(c1, c2, m):
+        raise RuntimeError(f"({s}, {y0}), (0, {m2}) is no basis for {c1}, {c2} mod {m}")
+    return ((s, y0), (0, m2))
 
 
 def gauss_reduce(u: Vec2, v: Vec2) -> tuple[Vec2, Vec2]:
@@ -121,7 +120,8 @@ def particular_solution(c1: int, c2: int, k: int, m: int) -> Vec2:
     else:
         u = (k // g) * pow(d // g, -1, mg) % mg
     t = ((alpha * u) % m, (beta * u) % m)
-    assert (c1 * t[0] + c2 * t[1] - k) % m == 0
+    if (c1 * t[0] + c2 * t[1] - k) % m:
+        raise RuntimeError(f"{t} does not solve {c1}*t1 + {c2}*t2 ≡ {k} (mod {m})")
     return t
 
 
@@ -166,16 +166,11 @@ def shortest_coset_vector(basis: tuple[Vec2, Vec2], w: Vec2) -> Vec2:
     nb = u1[0] * w[1] - u1[1] * w[0]
     fa = _floor_div(na, det)
     fb = _floor_div(nb, det)
-    best: Vec2 | None = None
-    best_key: tuple[int, Vec2] | None = None
-    for n1 in (fa, fa + 1):
-        for n2 in (fb, fb + 1):
-            cand = (
-                w[0] - n1 * u1[0] - n2 * u2[0],
-                w[1] - n1 * u1[1] - n2 * u2[1],
-            )
-            key = (norm_sq(cand), cand)
-            if best_key is None or key < best_key:
-                best, best_key = cand, key
-    assert best is not None
-    return best
+    return min(
+        (
+            (w[0] - n1 * u1[0] - n2 * u2[0], w[1] - n1 * u1[1] - n2 * u2[1])
+            for n1 in (fa, fa + 1)
+            for n2 in (fb, fb + 1)
+        ),
+        key=lambda v: (norm_sq(v), v),
+    )

@@ -20,14 +20,7 @@ from typing import Iterator, Optional
 from .errors import BudgetExhausted, HMaxExceeded, ParameterError
 from .foursquares import FourSquaresInstance, solve, solve_mode
 from .ntheory import DEFAULT_RHO_BUDGET, legendre, sqrt_mod
-from .lattice2 import (
-    SolutionLattice,
-    Vec2,
-    congruence_lattice,
-    gauss_reduce,
-    norm_sq,
-    solution_lattice,
-)
+from .lattice2 import SolutionLattice, Vec2, norm_sq, solution_lattice
 from .quaternion import (
     GraphParams,
     PslElement,
@@ -176,7 +169,7 @@ def _vertex_checked(vertex: DiagonalVertex, params: GraphParams) -> None:
 
 
 def _height_instances(
-    params: GraphParams, a: int, b: int
+    params: GraphParams, a: int, b: int, lattice: SolutionLattice
 ) -> Iterator[tuple[FourSquaresInstance, SolutionLattice]]:
     """The vertex congruence at heights 0, 1, 2, ..., each with its lattice.
 
@@ -184,13 +177,13 @@ def _height_instances(
     2*r1*t1 + 2*r2*t2 ≡ k (mod 2q) says λ(a*t1 + b*t2) ≡ k/2 (mod q), λ a
     unit: its lattice is that of (a, b) mod q at every height, its gcd is 2,
     and λ⁻¹·e solves it for k = 2 when a*e1 + b*e2 ≡ 1 (mod q).  So the
-    lattice is reduced once per vertex, and λ, λ⁻¹ and p^h advance by one
-    multiplication each per height.
+    lattice, `solution_lattice(a, b, q)`, is reduced once per vertex, and
+    λ, λ⁻¹ and p^h advance by one multiplication each per height.
     """
     q, p = params.q, params.p
     nsq = (a * a + b * b) % q
     mu0 = sqrt_mod(pow(nsq, -1, q), q)
-    basis, e, _ = solution_lattice(a, b, q)
+    basis, e, _ = lattice
     sqrt_p_inv = pow(params.sqrt_p, -1, q)
     lam, lam_inv = mu0, mu0 * nsq % q  # λ and λ⁻¹ at h = 0; mu0² ≡ 1/nsq
     n = 1
@@ -205,7 +198,7 @@ def _height_instances(
 
 
 def _solve_heights(
-    params: GraphParams, a: int, b: int, cfg: NavConfig
+    params: GraphParams, a: int, b: int, lattice: SolutionLattice, cfg: NavConfig
 ) -> tuple[int, tuple[int, int, int, int], str]:
     """First height h with a certified solution of the vertex congruence.
 
@@ -215,9 +208,10 @@ def _solve_heights(
     two λ-lifts bijectively, so the solution sets at every height agree.
     """
     h_cap = _least_height(1, params.p, params.q) + cfg.h_max_slack
-    for h, (inst, lattice) in zip(range(h_cap + 1), _height_instances(params, a, b)):
+    heights = _height_instances(params, a, b, lattice)
+    for h, (inst, height_lattice) in zip(range(h_cap + 1), heights):
         mode = solve_mode(cfg.mode, inst.n)
-        res = solve(inst, mode=mode, budget_rho=cfg.budget_rho, lattice=lattice)
+        res = solve(inst, mode=mode, budget_rho=cfg.budget_rho, lattice=height_lattice)
         if res.status == "found":
             if res.solution is None:
                 raise RuntimeError(f"'found' without a solution at height {h}")
@@ -251,15 +245,29 @@ _AXIS_SHUFFLE = {
 }
 
 
-def _navigate_axis(
-    params: GraphParams, value: int, axis: int, cfg: NavConfig
-) -> tuple[int, list[int], Quat]:
-    """Shortest-word navigation to the class of (1 + i_axis * value)."""
-    h, sol, _mode = _solve_heights(params, 1, value, cfg)
-    alpha = Quat(*(sol[j] for j in _AXIS_SHUFFLE[axis]))
-    alpha, t = _strip_p_content(alpha, params.p)
+def _navigate_vertex(
+    params: GraphParams,
+    a: int,
+    b: int,
+    lattice: SolutionLattice,
+    axis: int,
+    cfg: NavConfig,
+) -> tuple[int, list[int], tuple[int, int, int, int]]:
+    """Solve the heights of the vertex (a, b) and peel the solution.
+
+    The solution is rebuilt as a quaternion along `axis` (`_AXIS_SHUFFLE`).
+    Returns (h, a non-backtracking word of length h, the solution).
+    """
+    h, sol, mode = _solve_heights(params, a, b, lattice, cfg)
+    alpha, t = _strip_p_content(Quat(*(sol[j] for j in _AXIS_SHUFFLE[axis])), params.p)
+    # Exact mode certified every lower height absent, height h - 2t included.
+    if mode == "exact" and t:
+        raise RuntimeError("minimal-height solution must be primitive")
     word = factor_into_generators(alpha, params.gens)
-    return h - 2 * t, word, alpha
+    h -= 2 * t
+    if len(word) != h:
+        raise RuntimeError(f"word has {len(word)} letters, expected {h}")
+    return h, word, sol
 
 
 def diagonal_distance(
@@ -275,26 +283,13 @@ def diagonal_distance(
     """
     cfg = cfg or NavConfig()
     _vertex_checked(vertex, params)
-    h, sol, mode = _solve_heights(params, vertex.a % params.q, vertex.b % params.q, cfg)
-    alpha = Quat(*sol)
-    alpha, t = _strip_p_content(alpha, params.p)
-    # Exact mode certified every lower height absent, height h - 2t included.
-    if mode == "exact" and t:
-        raise RuntimeError("minimal-height solution must be primitive")
-    word = factor_into_generators(alpha, params.gens)
-    h -= 2 * t
-    if len(word) != h:
-        raise RuntimeError(f"word has {len(word)} letters, expected {h}")
-    got = evaluate_word(word, params.gens, params.q, params.sqrt_m1)
+    q = params.q
+    a, b = vertex.a % q, vertex.b % q
+    h, word, sol = _navigate_vertex(params, a, b, solution_lattice(a, b, q), 1, cfg)
+    got = evaluate_word(word, params.gens, q, params.sqrt_m1)
     if got != vertex.psl(params.sqrt_m1):
         raise RuntimeError("word does not evaluate to the vertex")
     return NavResult(h, tuple(word), tuple(sol))
-
-
-def _vertex_lattice(q: int, a: int, b: int) -> tuple[Vec2, Vec2]:
-    """Reduced basis of {(x, y): b*x - a*y ≡ 0 (mod q)} (covolume q)."""
-    basis = congruence_lattice(b % q, -a % q, q)
-    return gauss_reduce(*basis)
 
 
 def density_bound(params: GraphParams, h: int) -> Fraction:
@@ -328,7 +323,9 @@ def predicted_bounds(
     cfg = cfg or NavConfig()
     _vertex_checked(vertex, params)
     p, q = params.p, params.q
-    u1, u2 = _vertex_lattice(q, vertex.a, vertex.b)
+    # {b*x - a*y ≡ 0}, not the scan's 90°-rotated {a*x + b*y ≡ 0}: the two
+    # reduced bases can differ on ties, and the report prints this one.
+    u1, u2 = solution_lattice(vertex.b, -vertex.a, q).basis
 
     hole_bound = _least_height(norm_sq(u1), p, q)
     typical_bound = typical_height_bound(params, cfg)
@@ -377,7 +374,8 @@ def decompose_xyz(g: PslElement, sqrt_m1: int) -> list[tuple[int, int, int]]:
         inv_den = pow(den, -1, q)
         x = (B - C * z) * inv_den % q
         y = (C + B * z) * inv_den % q
-        assert (D - A * z) % q == x * y * den % q, "k-coefficient mismatch"
+        if (D - A * z) % q != x * y * den % q:
+            raise RuntimeError(f"k-coefficient mismatch at z = {z}")
         out.append((x, y, z))
     return out
 
@@ -396,16 +394,24 @@ def _correcting_words(params: GraphParams) -> Iterator[list[int]]:
         frontier = nxt
 
 
-def _balanced(q: int, v: int, cfg: NavConfig) -> bool:
-    """Step-3 predicate: the lattice of (1, v) is not too skew.
+def _axis_lattices(
+    q: int, values: tuple[int, int, int], cfg: NavConfig
+) -> Optional[list[SolutionLattice]]:
+    """The scan lattice of each (1, v), or None when one is too skew.
 
-    v == 0 is the identity factor — nothing to solve, so it always passes.
+    Step-3 predicate: |u2|² <= (C_γ log(q)^γ)² |u1|², which reads only the
+    successive minima, so the 90° rotation {v·x - y ≡ 0} would give the same
+    verdict.  v ≡ 0 is the identity factor and always passes.
     """
-    if v % q == 0:
-        return True
-    u1, u2 = _vertex_lattice(q, 1, v)
     limit = (cfg.c_gamma * math.log(q) ** cfg.gamma) ** 2
-    return norm_sq(u2) <= limit * norm_sq(u1)
+    lattices = []
+    for v in values:
+        lattice = solution_lattice(1, v, q)
+        u1, u2 = lattice.basis
+        if v % q and norm_sq(u2) > limit * norm_sq(u1):
+            return None
+        lattices.append(lattice)
+    return lattices
 
 
 def general_navigate(
@@ -440,14 +446,15 @@ def general_navigate(
                 (n := (1 + v * v) % q) != 0 and legendre(n, q) == 1 for v in values
             ):
                 continue
-            if not all(_balanced(q, v, cfg) for v in values):
+            lattices = _axis_lattices(q, values, cfg)
+            if lattices is None:
                 continue
             parts = [
-                _navigate_axis(params, v, axis, cfg)
-                for axis, v in zip((1, 2, 3), values)
+                _navigate_vertex(params, 1, v, lattice, axis, cfg)
+                for axis, v, lattice in zip((1, 2, 3), values, lattices)
             ]
             word = inverse_word(s_word, params.gens)
-            for _h, w, _alpha in parts:
+            for _h, w, _sol in parts:
                 word += w
             word = free_reduce(word, params.gens)
             got = evaluate_word(word, params.gens, q, params.sqrt_m1)
@@ -458,6 +465,6 @@ def general_navigate(
                 s_index=s_index,
                 s_word=tuple(s_word),
                 xyz=values,
-                factor_heights=tuple(h for h, _w, _a in parts),
+                factor_heights=tuple(h for h, _w, _sol in parts),
             )
     raise BudgetExhausted("correcting-word budget exhausted")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional
 
-from .errors import ParameterError
+from .errors import BudgetExhausted, ParameterError
 from .ntheory import factor, gauss_gcd, gauss_mul, is_prime, next_prime_at_least
 
 __all__ = ["NpInstance", "DecodeResult", "reduce_subset_sum", "decode", "lift_dimension"]
@@ -123,7 +123,8 @@ def reduce_subset_sum(
 
     n2 = q * q - 1
     fac = factor(n2)
-    assert fac.complete, "q² - 1 must factor completely at this scale"
+    if not fac.complete:
+        raise BudgetExhausted(f"q² - 1 = {n2} did not factor within the rho budget")
     divisors = [p for p, _ in fac.factors]
     g: Optional[GPair] = None
     for _ in range(64 * max(4, math.ceil(math.log(q)))):

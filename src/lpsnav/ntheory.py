@@ -356,8 +356,9 @@ def sqrt_mod(a: int, p: int) -> int:
     """Tonelli-Shanks square root of a mod odd prime p.
 
     Returns the canonical root in [0, (p-1)//2]; raises ValueError when a is
-    a non-residue.  The auxiliary non-residue is found by scanning 2, 3, 5, ...
-    which keeps the whole routine deterministic.
+    a non-residue.  The auxiliary non-residue is found by scanning 2, 3, 4, ...
+    which keeps the whole routine deterministic.  A composite p ends in
+    ValueError too, within a bounded number of steps, never in a wrong root.
     """
     a %= p
     if a == 0:
@@ -368,12 +369,24 @@ def sqrt_mod(a: int, p: int) -> int:
         raise ValueError("a is not a quadratic residue mod p")
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
+    else:
+        r = _tonelli_shanks(a, p)
+    if r * r % p != a:
+        raise ValueError(f"{r}² is not {a} mod {p}: {p} is not prime")
+    return min(r, p - r)
+
+
+def _tonelli_shanks(a: int, p: int) -> int:
+    """Some r with r² ≡ a (mod p), for a residue a and a prime p ≡ 1 (mod 4)."""
     # write p - 1 = q * 2^s
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
+    # (·|p) takes the value -1 below p unless p is a square, so the scan
+    # for z ends below p.
+    if math.isqrt(p) ** 2 == p:
+        raise ValueError(f"{p} is a square, not a prime")
     z = 2
     while legendre(z, p) != -1:
         z += 1
@@ -382,16 +395,20 @@ def sqrt_mod(a: int, p: int) -> int:
     t = pow(a, q, p)
     m = s
     while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
+        # Least i < m with t^(2^i) ≡ 1; for a prime p it exists.
+        t2 = t
+        for i in range(1, m):
             t2 = t2 * t2 % p
-            i += 1
+            if t2 == 1:
+                break
+        else:
+            raise ValueError(f"Tonelli-Shanks did not converge: {p} is not prime")
         b = pow(c, 1 << (m - i - 1), p)
         r = r * b % p
         c = b * b % p
         t = t * c % p
         m = i
-    return min(r, p - r)
+    return r
 
 
 def two_squares_prime(p: int) -> tuple[int, int]:

@@ -181,11 +181,23 @@ def test_criterion_3_hundred_digit_navigation():
 # --------------------------------------------------------------------------
 # Criterion 4: in the well-conditioned regime the candidate region is a true
 # certificate: F positive on the inner box, negative just outside 5x the box.
+def _in_box(form, x1, x2, scale=1):
+    """Membership in scale*C, where C = [-A, A] x [-B, B] with
+    A = sqrt(n) / (2*M*|u1|) and B = sqrt(n) / (2*M*|u2|) - 1 (exact integer
+    test)."""
+    s2n = scale * scale * form.n
+    m2 = 4 * form.modulus**2
+    if x1 * x1 * m2 * norm_sq(form.u1) > s2n:
+        return False
+    k = abs(x2) + scale
+    return k * k * m2 * norm_sq(form.u2) <= s2n
+
+
 def _box_extent(form, axis):
     """Largest coordinate on the given axis whose point is inside C."""
     v = 0
-    probe = (lambda t: form.in_box(t, 0, 1)) if axis == 0 else (
-        lambda t: form.in_box(0, t, 1)
+    probe = (lambda t: _in_box(form, t, 0, 1)) if axis == 0 else (
+        lambda t: _in_box(form, 0, t, 1)
     )
     while probe(v + 1):
         v += 1
@@ -194,8 +206,8 @@ def _box_extent(form, axis):
 
 def _box_extent_5(form, axis):
     v = 0
-    probe = (lambda t: form.in_box(t, 0, 5)) if axis == 0 else (
-        lambda t: form.in_box(0, t, 5)
+    probe = (lambda t: _in_box(form, t, 0, 5)) if axis == 0 else (
+        lambda t: _in_box(form, 0, t, 5)
     )
     while probe(v + 1):
         v += 1
@@ -232,7 +244,7 @@ def test_criterion_4_box_certificate_regime():
 
         for x2 in range(-bx, bx + 1):
             for x1 in range(-ax, ax + 1):
-                assert form.in_box(x1, x2, 1)
+                assert _in_box(form, x1, x2, 1)
                 assert form.f_value(x1, x2) > 0, (n, m, r1, r2, x1, x2)
 
         a5, b5 = _box_extent_5(form, 0), _box_extent_5(form, 1)
@@ -244,7 +256,7 @@ def test_criterion_4_box_certificate_regime():
                     range(-a5 - 3, -a5), range(a5 + 1, a5 + 4)
                 )
             for x1 in xs:
-                assert not form.in_box(x1, x2, 5)
+                assert not _in_box(form, x1, x2, 5)
                 assert form.f_value(x1, x2) < 0, (n, m, r1, r2, x1, x2)
         done += 1
 

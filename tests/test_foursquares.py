@@ -9,6 +9,7 @@ import pytest
 from lpsnav.errors import ParameterError
 from lpsnav.foursquares import (
     FourSquaresInstance,
+    _quadratic_interval,
     build_form,
     enumerate_candidates,
     solve,
@@ -196,3 +197,44 @@ def test_huge_instance_returns():
         signal.signal(signal.SIGALRM, old)
     assert res.status == "found"
     check_solution(res.solution, 10**66 + 1, 10, 1, 0)
+
+
+def _check_interval(a, b, c):
+    """_quadratic_interval(a, b, c) against direct evaluation of the quadratic."""
+    f = lambda x: (a * x + b) * x + c  # noqa: E731
+    iv = _quadratic_interval(a, b, c)
+    if iv is None:
+        peak = b // (-2 * a)  # the maximum over Z is at peak or peak + 1
+        assert f(peak) < 0 and f(peak + 1) < 0, (a, b, c)
+    else:
+        lo, hi = iv
+        assert f(lo) >= 0 and f(hi) >= 0, (a, b, c)
+        assert f(lo - 1) < 0 and f(hi + 1) < 0, (a, b, c)
+
+
+def test_quadratic_interval_is_exact():
+    """Row bounds from the closed form: F >= 0 at lo and hi and F < 0 just
+    outside, on random small and 1000-bit triples and on triples with integer
+    or rational roots; a full scan agrees on small ranges."""
+    for a in range(-6, 0):
+        for b in range(-12, 13):
+            for c in range(-30, 31):
+                xs = [x for x in range(-20, 21) if (a * x + b) * x + c >= 0]
+                assert _quadratic_interval(a, b, c) == ((xs[0], xs[-1]) if xs else None)
+    rng = random.Random(0x1A7)
+    for bits in (8, 64, 1000):
+        top = 1 << bits
+        for _ in range(2000):
+            a = -rng.randrange(1, top)
+            _check_interval(a, rng.randrange(-top, top), rng.randrange(-top * top, top * top))
+            # -(d*x - n1)(d*x - n2): the roots n1/d and n2/d are on the boundary.
+            d, n1, n2 = rng.randrange(1, top), rng.randrange(-top, top), rng.randrange(-top, top)
+            _check_interval(-d * d, d * (n1 + n2), -n1 * n2)
+
+
+def test_quadratic_interval_check_survives_optimization():
+    """A quadratic that does not open downward is a RuntimeError, not an
+    assert that python -O strips."""
+    for a, b, c in ((0, 1, 1), (1, 0, -1)):
+        with pytest.raises(RuntimeError):
+            _quadratic_interval(a, b, c)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from lpsnav import lattice2
 from lpsnav.errors import InfeasibleCongruence
 from lpsnav.lattice2 import (
     congruence_lattice,
@@ -145,3 +146,22 @@ def test_shortest_coset_vector():
         assert na % det == 0 and nb % det == 0
         # and matches the exact coset minimum
         assert norm_sq(best) == exact_coset_minimum(basis, w)
+
+
+def test_lattice_checks_survive_optimization(monkeypatch):
+    """Wrong arithmetic under the lattice primitives is a RuntimeError, not
+    an assert that python -O strips."""
+    xgcd = lattice2.xgcd
+
+    def wrong_cofactors(a, b):
+        d, x, y = xgcd(a, b)
+        return d, x + 1, y
+
+    monkeypatch.setattr(lattice2, "xgcd", wrong_cofactors)
+    with pytest.raises(RuntimeError):
+        particular_solution(3, 5, 1, 11)
+    monkeypatch.undo()
+    # A wrong modular inverse in the Hermite construction.
+    monkeypatch.setattr(lattice2, "pow", lambda b, e, m: (pow(b, e, m) + 1) % m, raising=False)
+    with pytest.raises(RuntimeError):
+        congruence_lattice(3, 5, 11)

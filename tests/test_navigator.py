@@ -1,6 +1,7 @@
 """Navigation layer: diagonal distances, bounds, decomposition, general case."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -12,8 +13,10 @@ from lpsnav.lattice2 import (
     SolutionLattice,
     congruence_lattice,
     gauss_reduce,
+    norm_sq,
     particular_solution,
     shortest_coset_vector,
+    solution_lattice,
 )
 from lpsnav.navigator import (
     DiagonalVertex,
@@ -234,6 +237,59 @@ def test_result_checks_survive_optimization(params29, monkeypatch):
         general_navigate(params29, random_psl(29, random.Random(55)))
 
 
+def test_primitivity_check_survives_optimization(params29, monkeypatch):
+    """An exact-mode solution with p-content is a RuntimeError on the
+    diagonal and the general path alike, not an assert that python -O
+    strips."""
+    solve_heights = navigator._solve_heights
+
+    def with_p_content(*args):
+        h, sol, mode = solve_heights(*args)
+        return h + 2, tuple(5 * x for x in sol), mode
+
+    monkeypatch.setattr(navigator, "_solve_heights", with_p_content)
+    cfg = NavConfig(mode="exact")
+    with pytest.raises(RuntimeError, match="primitive"):
+        diagonal_distance(params29, DiagonalVertex(29, 3, 4), cfg)
+    with pytest.raises(RuntimeError, match="primitive"):
+        general_navigate(params29, random_psl(29, random.Random(55)), cfg)
+
+
+def test_decomposition_check_survives_optimization(params29, monkeypatch):
+    """A wrong root of the z-discriminant is a RuntimeError, not an assert
+    that python -O strips."""
+    monkeypatch.setattr(navigator, "sqrt_mod", lambda a, p: (sqrt_mod(a, p) + 1) % p)
+    with pytest.raises(RuntimeError, match="k-coefficient"):
+        decompose_xyz(PslElement.canonical(29, (1, 2, 3, 7)), params29.sqrt_m1)
+
+
+@pytest.mark.parametrize("q", [29, 41, 61])
+def test_one_vertex_lattice_serves_bounds_and_balance(q):
+    """predicted_bounds prints the reduced basis of {b*x - a*y ≡ 0}, and the
+    balance test on the scan's lattice {t1 + v*t2 ≡ 0} gives the verdicts of
+    the rotated lattice {v*x - y ≡ 0}; both references are reduced here with
+    gauss_reduce(congruence_lattice(...)) directly."""
+    params, cfg = GraphParams(5, q), NavConfig()
+    for a in range(q):
+        for b in range(q):
+            if not (a or b):
+                continue
+            ref = gauss_reduce(*congruence_lattice(b, -a, q))
+            scan = solution_lattice(a, b, q).basis
+            assert [norm_sq(u) for u in scan] == [norm_sq(u) for u in ref], (a, b)
+            if DiagonalVertex(q, a, b).on_graph():
+                report = predicted_bounds(params, DiagonalVertex(q, a, b), cfg)
+                assert (report.u1, report.u2) == ref, (a, b)
+    limit = (cfg.c_gamma * math.log(q) ** cfg.gamma) ** 2
+    for v in range(q):
+        u1, u2 = gauss_reduce(*congruence_lattice(v, -1, q))
+        balanced = v == 0 or norm_sq(u2) <= limit * norm_sq(u1)
+        lattices = navigator._axis_lattices(q, (v,), cfg)
+        assert (lattices is not None) == balanced, v
+        if balanced:
+            assert lattices == [solution_lattice(1, v, q)]
+
+
 def _vertex_heights(q):
     """(a, b, the vertex's (instance, lattice) pairs up to the height cap)
     for every on-graph (a, b) mod q."""
@@ -243,7 +299,10 @@ def _vertex_heights(q):
         for b in range(q):
             if (a or b) and DiagonalVertex(q, a, b).on_graph():
                 yield a, b, itertools.islice(
-                    navigator._height_instances(params, a, b), cap + 1
+                    navigator._height_instances(
+                        params, a, b, solution_lattice(a, b, q)
+                    ),
+                    cap + 1,
                 )
 
 
@@ -278,7 +337,8 @@ def test_lattice_checks_survive_optimization():
     """A lattice that does not fit the instance is a RuntimeError, not an
     assert that python -O strips."""
     params = GraphParams(5, 29)
-    for inst, lattice in itertools.islice(navigator._height_instances(params, 3, 4), 12):
+    heights = navigator._height_instances(params, 3, 4, solution_lattice(3, 4, 29))
+    for inst, lattice in itertools.islice(heights, 12):
         if (inst.n - inst.r1**2 - inst.r2**2) // inst.modulus % 2 == 0:
             break
     (u1, u2), unit, g = lattice

@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from lpsnav.errors import ParameterError
+from lpsnav import npreduction
+from lpsnav.errors import BudgetExhausted, ParameterError
 from lpsnav.npreduction import (
     NpInstance,
     decode,
     lift_dimension,
     reduce_subset_sum,
 )
-from lpsnav.ntheory import is_prime
+from lpsnav.ntheory import Factorization, is_prime
 
 
 def gaussian_mul(a, b):
@@ -185,3 +186,11 @@ def test_lift_dimension_preconditions():
         lift_dimension(5, 3, 1, (1, 2), 10)  # m too large
     with pytest.raises(ParameterError):
         lift_dimension(5, 3, 1, (1, 2), 3)  # gcd(m, q) > 1
+
+
+def test_factoring_check_survives_optimization(monkeypatch):
+    """q² - 1 left unfactored by the budget stops the reduction with
+    BudgetExhausted, not an assert that python -O strips."""
+    monkeypatch.setattr(npreduction, "factor", lambda n: Factorization((), n))
+    with pytest.raises(BudgetExhausted):
+        reduce_subset_sum([1, 2, 3], 3)

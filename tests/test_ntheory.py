@@ -2,6 +2,7 @@
 
 import math
 import random
+import signal
 
 import pytest
 import sympy
@@ -144,6 +145,25 @@ def test_sqrt_mod():
             assert 0 <= r <= (p - 1) // 2  # canonical representative
     with pytest.raises(ValueError):
         sqrt_mod(2, 5)  # 2 is not a square mod 5
+
+
+def test_sqrt_mod_composite_modulus_is_an_error():
+    """A composite modulus ends in ValueError, never in a hang or a wrong
+    root: 21 sends Tonelli-Shanks round a cycle, 9 has no non-residue, and
+    the p ≡ 3 (mod 4) power gives 1 as a root of 4 mod 15."""
+
+    def timeout(_signum, _frame):
+        raise TimeoutError("sqrt_mod did not return within 5 s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        for a, n in ((20, 21), (8, 9), (4, 15)):
+            with pytest.raises(ValueError):
+                sqrt_mod(a, n)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_sqrt_mod_is_deterministic():
