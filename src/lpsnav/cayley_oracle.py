@@ -23,6 +23,7 @@ from .quaternion import GraphParams, PslElement
 __all__ = ["CayleyGraph", "build_graph", "bfs_distances", "diagonal_distance_census"]
 
 MAX_ORACLE_Q = 200
+MAX_DISTANCE = 127  # the largest entry of the signed-byte distance table
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,8 @@ def diagonal_distance_census(
     the table always extends through the threshold so the bounded regime is
     visible even when every vertex is closer than that.
     """
+    if threshold is not None and threshold > MAX_DISTANCE:
+        raise ParameterError(f"census threshold {threshold} exceeds {MAX_DISTANCE}")
     params = graph.params
     dists = [
         graph.dist[graph.vertex_index(v.psl(params.sqrt_m1))]

@@ -20,7 +20,6 @@ from typing import Iterator, Optional
 
 from .errors import InfeasibleCongruence, ParameterError
 from .lattice2 import (
-    SolutionLattice,
     Vec2,
     dot,
     norm_sq,
@@ -35,8 +34,10 @@ __all__ = [
     "SolveResult",
     "FAST_MODE_THRESHOLD",
     "solve_mode",
+    "coset_form",
     "build_form",
     "enumerate_candidates",
+    "solve_form",
     "solve",
 ]
 
@@ -108,58 +109,50 @@ class SolveResult:
     tried: int = 0
 
 
-def build_form(
-    inst: FourSquaresInstance, lattice: Optional[SolutionLattice] = None
+def coset_form(
+    n: int, m: int, r1: int, r2: int, basis: tuple[Vec2, Vec2], point: Vec2
 ) -> CandidateForm:
+    """The candidate quadratic F of x ≡ r1, y ≡ r2 (mod m) on one coset.
+
+    r1 and r2 are reduced mod m, `basis` spans the homogeneous solutions of
+    2*r1*t1 + 2*r2*t2 ≡ k (mod m), k = (n - r1² - r2²)/m, and `point` solves
+    it.  Raises RuntimeError when the point or a basis vector does not fit.
+    """
+    k = (n - r1 * r1 - r2 * r2) // m
+
+    def scalar(v: Vec2, shift: int) -> int:
+        num = shift - 2 * (r1 * v[0] + r2 * v[1])
+        if num % m:
+            raise RuntimeError(f"{v} does not solve 2*{r1}*t1 + 2*{r2}*t2 ≡ {shift} mod {m}")
+        return num // m
+
+    scalar(point, k)  # raises unless the point solves the congruence
+    u1, u2 = basis
+    u0 = shortest_coset_vector(basis, point)
+    u0p, u1p, u2p = scalar(u0, k), -scalar(u1, 0), -scalar(u2, 0)
+    return CandidateForm(n, m, r1, r2, u0, u1, u2, u0p, u1p, u2p)
+
+
+def build_form(inst: FourSquaresInstance) -> CandidateForm:
     """Reduce an instance to its candidate quadratic F.
 
-    `lattice` is the `SolutionLattice` of the instance's congruence
-    2*r1*t1 + 2*r2*t2 ≡ k (mod M); a caller that solves many instances
-    sharing one lattice passes it in, otherwise it is built here.  Raises
-    InfeasibleCongruence when gcd(2*r1, 2*r2, M) does not divide k — then
-    the congruence has no solutions at all and the instance is certified
-    unsolvable — and RuntimeError when a passed lattice does not fit.
+    Raises InfeasibleCongruence when gcd(2*r1, 2*r2, M) does not divide k —
+    then the congruence 2*r1*t1 + 2*r2*t2 ≡ k (mod M) has no solutions at all
+    and the instance is certified unsolvable.
     """
     m = inst.modulus
     r1, r2 = inst.r1 % m, inst.r2 % m
     k = (inst.n - r1 * r1 - r2 * r2) // m
     c1, c2 = 2 * r1 % m, 2 * r2 % m
-    if lattice is None:
-        lattice = solution_lattice(c1, c2, m)
-    (u1, u2), unit, g = lattice
+    (u1, u2), unit, g = solution_lattice(c1, c2, m)
     if k % g:
         raise InfeasibleCongruence(f"gcd({c1}, {c2}, {m}) = {g} does not divide {k}")
     # (m/g)·Z² lies in the lattice, so reducing mod m/g keeps the coset.
     mg = m // g
-    s = k // g % mg
-    t_part = (s * unit[0] % mg, s * unit[1] % mg)
-    if (c1 * t_part[0] + c2 * t_part[1] - k) % m:
-        raise RuntimeError(f"{unit} does not solve the congruence of {inst} for k = {g}")
     if abs(u1[0] * u2[1] - u1[1] * u2[0]) != mg:
         raise RuntimeError(f"basis {u1}, {u2} has the wrong index for {inst}")
-    u0 = shortest_coset_vector((u1, u2), t_part)
-
-    def scalar(v: Vec2, shift: int) -> int:
-        num = shift - 2 * (r1 * v[0] + r2 * v[1])
-        if num % m:
-            raise RuntimeError(f"{v} is off the congruence lattice of {inst}")
-        return num // m
-
-    u0p = scalar(u0, k)
-    u1p = -scalar(u1, 0)
-    u2p = -scalar(u2, 0)
-    return CandidateForm(
-        n=inst.n,
-        modulus=m,
-        r1=r1,
-        r2=r2,
-        u0=u0,
-        u1=u1,
-        u2=u2,
-        u0p=u0p,
-        u1p=u1p,
-        u2p=u2p,
-    )
+    s = k // g % mg
+    return coset_form(inst.n, m, r1, r2, (u1, u2), (s * unit[0] % mg, s * unit[1] % mg))
 
 
 def _quadratic_interval(a: int, b: int, c: int) -> Optional[tuple[int, int]]:
@@ -254,32 +247,14 @@ def enumerate_candidates(form: CandidateForm) -> Iterator[tuple[tuple[int, int],
             heapq.heapreplace(heap, ((nxt * nxt + x2 * x2, nxt, x2), nxt, it))
 
 
-def solve(
-    inst: FourSquaresInstance,
-    mode: str = "auto",
-    budget_rho: int = DEFAULT_RHO_BUDGET,
-    lattice: Optional[SolutionLattice] = None,
-) -> SolveResult:
-    """Find x² + y² + z² + w² = n with the instance congruences, or certify.
+def solve_form(form: CandidateForm, mode: str, budget_rho: int) -> SolveResult:
+    """Certify the candidates of `form` in `mode`, "exact" or "fast".
 
-    Each candidate F-value goes to `ntheory.two_squares` in the mode
-    `solve_mode(mode, n)` resolves to: under "exact", verdict "absent" is a
-    certificate and "unknown" means only factoring-budget exhaustion; under
-    "fast", "unknown" may stand where "absent" is the truth.
-
-    `lattice`, when given, is the instance's solution lattice and goes to
-    `build_form` unchanged.
-
-    Determinism: identical instance, mode and budget give identical output —
-    the candidate stream and all certifications are deterministic.
+    Under "exact", verdict "absent" is a certificate and "unknown" means only
+    factoring-budget exhaustion; under "fast", "unknown" may stand where
+    "absent" is the truth.
     """
-    mode = solve_mode(mode, inst.n)
-    m = inst.modulus
-    zero_residues = inst.r1 % m == 0 and inst.r2 % m == 0
-    try:
-        form = build_form(inst, lattice)
-    except InfeasibleCongruence:
-        return SolveResult("absent")
+    n, m, r1, r2 = form.n, form.modulus, form.r1, form.r2
     tainted = False
     tried = 0
     for (x1, x2), fv in enumerate_candidates(form):
@@ -288,18 +263,34 @@ def solve(
         if ts.status == "found":
             t1, t2 = form.point(x1, x2)
             e, f = ts.pair
-            if zero_residues:
+            if r1 == 0 and r2 == 0:
                 # Classical presentation for the unconstrained case: the
                 # two-squares part first, the scan pair last.
                 sol = (m * e, m * f, m * t1, m * t2)
             else:
-                sol = (m * t1 + form.r1, m * t2 + form.r2, m * e, m * f)
-            residues = (inst.r1, inst.r2, 0, 0)
-            if sum(v * v for v in sol) != inst.n or any(
-                (v - r) % m for v, r in zip(sol, residues)
+                sol = (m * t1 + r1, m * t2 + r2, m * e, m * f)
+            if sum(v * v for v in sol) != n or any(
+                (v - r) % m for v, r in zip(sol, (r1, r2, 0, 0))
             ):
-                raise RuntimeError(f"solution {sol} does not solve {inst}")
+                raise RuntimeError(f"solution {sol} does not solve {n}, {m}, {r1}, {r2}")
             return SolveResult("found", sol, tried)
         if ts.status == "unknown":
             tainted = True
     return SolveResult("unknown" if tainted else "absent", None, tried)
+
+
+def solve(
+    inst: FourSquaresInstance,
+    mode: str = "auto",
+    budget_rho: int = DEFAULT_RHO_BUDGET,
+) -> SolveResult:
+    """Find x² + y² + z² + w² = n with the instance congruences, or certify:
+    `solve_form` of `build_form(inst)` in the mode `solve_mode(mode, n)`.
+
+    Identical instance, mode and budget give identical output."""
+    mode = solve_mode(mode, inst.n)
+    try:
+        form = build_form(inst)
+    except InfeasibleCongruence:
+        return SolveResult("absent")
+    return solve_form(form, mode, budget_rho)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import BudgetExhausted, HMaxExceeded, ParameterError
-from .foursquares import FourSquaresInstance, solve, solve_mode
+from .foursquares import CandidateForm, coset_form, solve_form, solve_mode
 from .ntheory import DEFAULT_RHO_BUDGET, legendre, sqrt_mod
 from .lattice2 import SolutionLattice, Vec2, norm_sq, solution_lattice
 from .quaternion import (
@@ -136,9 +136,6 @@ class GeneralNavResult:
     xyz: tuple[int, int, int]
     factor_heights: tuple[int, int, int]
 
-    def names(self, params: GraphParams) -> list[str]:
-        return [params.gens.names[i] for i in self.word]
-
 
 def _parity_lift(x: int, parity: int, q: int) -> int:
     """The residue mod 2q that is ≡ x (mod q) and ≡ parity (mod 2)."""
@@ -168,30 +165,32 @@ def _vertex_checked(vertex: DiagonalVertex, params: GraphParams) -> None:
         )
 
 
-def _height_instances(
+def _height_forms(
     params: GraphParams, a: int, b: int, lattice: SolutionLattice
-) -> Iterator[tuple[FourSquaresInstance, SolutionLattice]]:
-    """The vertex congruence at heights 0, 1, 2, ..., each with its lattice.
+) -> Iterator[CandidateForm]:
+    """The candidate form of the vertex congruence at heights 0, 1, 2, ...
 
     With (r1, r2) ≡ λ(a, b) (mod q), height h's congruence
-    2*r1*t1 + 2*r2*t2 ≡ k (mod 2q) says λ(a*t1 + b*t2) ≡ k/2 (mod q), λ a
-    unit: its lattice is that of (a, b) mod q at every height, its gcd is 2,
-    and λ⁻¹·e solves it for k = 2 when a*e1 + b*e2 ≡ 1 (mod q).  So the
-    lattice, `solution_lattice(a, b, q)`, is reduced once per vertex, and
-    λ, λ⁻¹ and p^h advance by one multiplication each per height.
+    2*r1*t1 + 2*r2*t2 ≡ k (mod 2q) says λ(a*t1 + b*t2) ≡ k/2 (mod q): k is
+    even (p^h ≡ r1² ≡ 1, r2² ≡ 0 mod 4), the basis is that of `lattice`,
+    `solution_lattice(a, b, q)`, at every height, and (k/2)·λ⁻¹·e is on the
+    coset.  λ, λ⁻¹ and p^h advance by one multiplication each per height.
     """
     q, p = params.q, params.p
+    basis, e, _ = lattice
+    u1, u2 = basis
+    if abs(u1[0] * u2[1] - u1[1] * u2[0]) != q:
+        raise RuntimeError(f"basis {u1}, {u2} has the wrong index for ({a}, {b}) mod {q}")
     nsq = (a * a + b * b) % q
     mu0 = sqrt_mod(pow(nsq, -1, q), q)
-    basis, e, _ = lattice
     sqrt_p_inv = pow(params.sqrt_p, -1, q)
     lam, lam_inv = mu0, mu0 * nsq % q  # λ and λ⁻¹ at h = 0; mu0² ≡ 1/nsq
     n = 1
     while True:
         r1 = _parity_lift(lam * a, 1, q)
         r2 = _parity_lift(lam * b, 0, q)
-        unit = (lam_inv * e[0] % q, lam_inv * e[1] % q)
-        yield FourSquaresInstance(n, 2 * q, r1, r2), SolutionLattice(basis, unit, 2)
+        s = (n - r1 * r1 - r2 * r2) // (4 * q) * lam_inv % q
+        yield coset_form(n, 2 * q, r1, r2, basis, (s * e[0] % q, s * e[1] % q))
         n *= p
         lam = lam * params.sqrt_p % q
         lam_inv = lam_inv * sqrt_p_inv % q
@@ -208,10 +207,9 @@ def _solve_heights(
     two λ-lifts bijectively, so the solution sets at every height agree.
     """
     h_cap = _least_height(1, params.p, params.q) + cfg.h_max_slack
-    heights = _height_instances(params, a, b, lattice)
-    for h, (inst, height_lattice) in zip(range(h_cap + 1), heights):
-        mode = solve_mode(cfg.mode, inst.n)
-        res = solve(inst, mode=mode, budget_rho=cfg.budget_rho, lattice=height_lattice)
+    for h, form in zip(range(h_cap + 1), _height_forms(params, a, b, lattice)):
+        mode = solve_mode(cfg.mode, form.n)
+        res = solve_form(form, mode, cfg.budget_rho)
         if res.status == "found":
             if res.solution is None:
                 raise RuntimeError(f"'found' without a solution at height {h}")
@@ -308,7 +306,16 @@ def typical_height_bound(params: GraphParams, cfg: Optional[NavConfig] = None) -
     t = 3 * math.log(q, p)
     t += cfg.gamma * math.log(math.log(q), p)
     t += math.log(cfg.c_gamma, p) + math.log(89, p)
+    if not math.isfinite(t):
+        raise ParameterError(f"typical height bound overflows at gamma = {cfg.gamma}")
     return math.ceil(t)
+
+
+def _excess_skew(u1: Vec2, u2: Vec2, x: int, cfg: NavConfig) -> float:
+    """log(|u2|² / |u1|²) - log((C_γ log(x)^γ)²), formed in logs: the limit
+    itself overflows a float for large γ or C_γ, and |u1|², |u2|² for large q."""
+    limit = 2 * (math.log(cfg.c_gamma) + cfg.gamma * math.log(math.log(x)))
+    return math.log(norm_sq(u2)) - math.log(norm_sq(u1)) - limit
 
 
 def predicted_bounds(
@@ -330,8 +337,7 @@ def predicted_bounds(
     hole_bound = _least_height(norm_sq(u1), p, q)
     typical_bound = typical_height_bound(params, cfg)
 
-    threshold = (cfg.c_gamma * math.log(2 * q) ** cfg.gamma) ** 2
-    regime = "hole" if norm_sq(u2) >= threshold * norm_sq(u1) else "typical"
+    regime = "hole" if _excess_skew(u1, u2, 2 * q, cfg) >= 0 else "typical"
     return BoundsReport(
         u1=u1,
         u2=u2,
@@ -403,12 +409,10 @@ def _axis_lattices(
     successive minima, so the 90° rotation {v·x - y ≡ 0} would give the same
     verdict.  v ≡ 0 is the identity factor and always passes.
     """
-    limit = (cfg.c_gamma * math.log(q) ** cfg.gamma) ** 2
     lattices = []
     for v in values:
         lattice = solution_lattice(1, v, q)
-        u1, u2 = lattice.basis
-        if v % q and norm_sq(u2) > limit * norm_sq(u1):
+        if v % q and _excess_skew(*lattice.basis, q, cfg) > 0:
             return None
         lattices.append(lattice)
     return lattices

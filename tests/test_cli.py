@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,7 @@ def test_env_defaults(capsys, monkeypatch):
 
 
 def test_bad_config_exits_2(capsys):
+    q320 = 10**320 + 4689  # least prime >= 10^320, ≡ 1 (mod 4), with (5|q) = 1
     for argv in (
         ("predict", "5", "29", "0", "1", "--c-gamma", "0"),
         ("predict", "5", "29", "0", "1", "--gamma", "nan"),
@@ -181,11 +183,40 @@ def test_bad_config_exits_2(capsys):
         ("navigate", "5", "29", "1", "2", "3", "7", "--budget-rho", "-1"),
         ("navigate", "5", "29", "1", "2", "3", "7", "--s-cap", "-1"),
         ("four-squares", "50", "5", "0", "0", "--budget-rho", "-1"),
+        ("predict", "5", str(q320), "0", "1", "--gamma", "1e308"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert "error:" in err
+    # Legal extremes whose balance limit or lattice norms overflow a float.
+    for argv in (
+        ("predict", "5", str(q320), "1", str(10**160)),
+        ("predict", "5", "29", "0", "1", "--gamma", "500"),
+        ("navigate", "5", "29", "1", "2", "3", "7", "--c-gamma", "1e200"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, argv
+        assert "error" not in err
+
+
+def test_verify_beyond_distance_table_exits_2_promptly(capsys):
+    """A census threshold past the largest storable distance (127) is a
+    parameter error, not a census loop over ~10^307 heights."""
+
+    def timeout(signum, frame):
+        raise TimeoutError("verify did not return within 5 s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        code, out, err = run(capsys, "verify", "5", "29", "--gamma", "1e308")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1
 
 
 def test_bad_env_value_exits_2(capsys, monkeypatch):

@@ -7,8 +7,8 @@ import random
 import pytest
 
 import lpsnav.navigator as navigator
-from lpsnav.errors import InfeasibleCongruence, ParameterError
-from lpsnav.foursquares import build_form
+from lpsnav.errors import ParameterError
+from lpsnav.foursquares import FourSquaresInstance, build_form
 from lpsnav.lattice2 import (
     SolutionLattice,
     congruence_lattice,
@@ -291,62 +291,50 @@ def test_one_vertex_lattice_serves_bounds_and_balance(q):
 
 
 def _vertex_heights(q):
-    """(a, b, the vertex's (instance, lattice) pairs up to the height cap)
-    for every on-graph (a, b) mod q."""
+    """(a, b, the vertex's scanned forms up to the height cap) for every
+    on-graph (a, b) mod q."""
     params = GraphParams(5, q)
     cap = navigator._least_height(1, 5, q) + NavConfig().h_max_slack
     for a in range(q):
         for b in range(q):
             if (a or b) and DiagonalVertex(q, a, b).on_graph():
-                yield a, b, itertools.islice(
-                    navigator._height_instances(
-                        params, a, b, solution_lattice(a, b, q)
-                    ),
-                    cap + 1,
-                )
+                forms = navigator._height_forms(params, a, b, solution_lattice(a, b, q))
+                yield a, b, itertools.islice(forms, cap + 1)
 
 
 @pytest.mark.parametrize("q", [29, 41, 61])
 def test_vertex_lattice_matches_per_height_form(q):
-    """The lattice reduced once per vertex gives every height the form the
-    instance alone gives, field for field, or the same infeasibility."""
-    checked = 0
-    for a, b, heights in _vertex_heights(q):
-        for inst, lattice in heights:
-            m = inst.modulus
-            c1, c2 = 2 * inst.r1 % m, 2 * inst.r2 % m
+    """The scanner's form at every height is the form the height's instance
+    alone gives, field for field, and its k is even, so no height is
+    infeasible."""
+    m, checked = 2 * q, 0
+    for a, b, forms in _vertex_heights(q):
+        for h, form in enumerate(forms):
+            assert (form.n, form.modulus) == (5**h, m), (a, b, h)
+            inst = FourSquaresInstance(form.n, m, form.r1, form.r2)
+            assert form == build_form(inst), (a, b, h)
             k = (inst.n - inst.r1**2 - inst.r2**2) // m
-            if k % 2:
-                with pytest.raises(InfeasibleCongruence):
-                    build_form(inst, lattice)
-                with pytest.raises(InfeasibleCongruence):
-                    build_form(inst)
-                continue
-            form = build_form(inst, lattice)
-            assert form == build_form(inst), (a, b, inst)
+            assert k % 2 == 0, (a, b, h)
             # Against the lattice primitives directly, as each height once
             # built its form on its own.
+            c1, c2 = 2 * inst.r1 % m, 2 * inst.r2 % m
             u1, u2 = gauss_reduce(*congruence_lattice(c1, c2, m))
             u0 = shortest_coset_vector((u1, u2), particular_solution(c1, c2, k % m, m))
-            assert (form.u0, form.u1, form.u2) == (u0, u1, u2), (a, b, inst)
+            assert (form.u0, form.u1, form.u2) == (u0, u1, u2), (a, b, h)
             checked += 1
     assert checked > q * q // 4
 
 
 def test_lattice_checks_survive_optimization():
-    """A lattice that does not fit the instance is a RuntimeError, not an
-    assert that python -O strips."""
+    """A lattice that does not fit the vertex is a RuntimeError in the height
+    scan, not an assert that python -O strips."""
     params = GraphParams(5, 29)
-    heights = navigator._height_instances(params, 3, 4, solution_lattice(3, 4, 29))
-    for inst, lattice in itertools.islice(heights, 12):
-        if (inst.n - inst.r1**2 - inst.r2**2) // inst.modulus % 2 == 0:
-            break
-    (u1, u2), unit, g = lattice
-    build_form(inst, lattice)
+    (u1, u2), unit, g = solution_lattice(3, 4, 29)
     for bad in (
         SolutionLattice((u1, u2), (unit[0] + 1, unit[1]), g),  # wrong coset
         SolutionLattice((u1, (2 * u2[0], 2 * u2[1])), unit, g),  # sublattice
         SolutionLattice(((0, 1), (29, 0)), unit, g),  # off the lattice
     ):
         with pytest.raises(RuntimeError):
-            build_form(inst, bad)
+            for _form in itertools.islice(navigator._height_forms(params, 3, 4, bad), 12):
+                pass
