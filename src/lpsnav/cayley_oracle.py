@@ -125,16 +125,14 @@ class CensusRow:
     bound: Optional[Fraction]  # None below the regime threshold
 
 
-def diagonal_distance_census(
-    graph: CayleyGraph, threshold: Optional[int] = None
-) -> list[CensusRow]:
+def diagonal_distance_census(graph: CayleyGraph, threshold: int) -> list[CensusRow]:
     """For each h: how many diagonal vertices sit at distance >= h.
 
     Rows at or above `threshold` carry the 89 q⁴ / p^(h-1) comparison bound;
     the table always extends through the threshold so the bounded regime is
     visible even when every vertex is closer than that.
     """
-    if threshold is not None and threshold > MAX_DISTANCE:
+    if threshold > MAX_DISTANCE:
         raise ParameterError(f"census threshold {threshold} exceeds {MAX_DISTANCE}")
     params = graph.params
     dists = [
@@ -142,13 +140,8 @@ def diagonal_distance_census(
         for v in diagonal_vertices(params)
     ]
     rows = []
-    top = max(dists)
-    if threshold is not None:
-        top = max(top, threshold)
-    for h in range(top + 2):
+    for h in range(max(max(dists), threshold) + 2):
         count = sum(1 for d in dists if d >= h)
-        bound = None
-        if threshold is not None and h >= threshold and h >= 1:
-            bound = density_bound(params, h)
+        bound = density_bound(params, h) if h >= max(threshold, 1) else None
         rows.append(CensusRow(h=h, count_at_least=count, bound=bound))
     return rows

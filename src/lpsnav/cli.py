@@ -38,33 +38,29 @@ from .navigator import (
     typical_height_bound,
 )
 from .npreduction import NpInstance, decode, reduce_subset_sum
-from .ntheory import DEFAULT_RHO_BUDGET
 from .quaternion import GraphParams, PslElement
 from .schemas import SCHEMAS, validate
 
 __all__ = ["main"]
 
 
-def _env(name: str, cast, default):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        print(f"error: invalid value for {name}: {raw!r}", file=sys.stderr)
-        raise SystemExit(2)
+# The NavConfig fields as flags.  A command adds the ones its handler reads;
+# an omitted flag is absent from the namespace, so NavConfig's own defaults apply.
+_NAV_FLAGS = {
+    "mode": dict(
+        choices=["auto", "exact", "fast"],
+        help="exact certifies minimality; fast settles for cheap certificates",
+    ),
+    "gamma": dict(type=float),
+    "c_gamma": dict(type=float),
+    "h_max_slack": dict(type=int),
+    "budget_rho": dict(type=int, help="iteration budget for Pollard-rho factoring"),
+    "s_cap": dict(type=int),
+}
 
 
 def _config(args: argparse.Namespace) -> NavConfig:
-    return NavConfig(
-        mode=args.mode,
-        gamma=args.gamma,
-        c_gamma=args.c_gamma,
-        h_max_slack=args.h_max_slack,
-        budget_rho=args.budget_rho,
-        s_cap=args.s_cap,
-    )
+    return NavConfig(**{k: v for k, v in vars(args).items() if k in _NAV_FLAGS})
 
 
 def _solution_dict(sol: Optional[tuple[int, int, int, int]]) -> Optional[dict]:
@@ -220,110 +216,53 @@ def _cmd_np_decode(args) -> tuple[str, dict, int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    out_parent = argparse.ArgumentParser(add_help=False)
-    out_parent.add_argument(
-        "--output",
-        choices=["json", "text"],
-        default=_env("LPSNAV_OUTPUT", str, "json"),
-        help="payload format on stdout (default: json)",
-    )
-    cfg_parent = argparse.ArgumentParser(add_help=False)
-    cfg_parent.add_argument(
-        "--mode",
-        choices=["auto", "exact", "fast"],
-        default=_env("LPSNAV_MODE", str, "auto"),
-        help="exact certifies minimality; fast settles for cheap certificates",
-    )
-    cfg_parent.add_argument(
-        "--gamma", type=float, default=_env("LPSNAV_GAMMA", float, 0.75)
-    )
-    cfg_parent.add_argument(
-        "--c-gamma", type=float, default=_env("LPSNAV_C_GAMMA", float, 4.0)
-    )
-    cfg_parent.add_argument(
-        "--h-max-slack", type=int, default=_env("LPSNAV_H_MAX_SLACK", int, 4)
-    )
-    cfg_parent.add_argument(
-        "--budget-rho",
-        type=int,
-        default=_env("LPSNAV_BUDGET_RHO", int, DEFAULT_RHO_BUDGET),
-        help="iteration budget for Pollard-rho factoring",
-    )
-    cfg_parent.add_argument(
-        "--s-cap", type=int, default=_env("LPSNAV_S_CAP", int, 4096)
-    )
-    cfg_parent.add_argument(
-        "--seed",
-        type=int,
-        default=_env("LPSNAV_SEED", int, 0),
-        help="seed for randomized steps (deterministic commands ignore it)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="lpsnav",
         description="Shortest-path navigation on LPS Ramanujan graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser(
-        "navigate-diagonal",
-        parents=[cfg_parent, out_parent],
+    def command(name, handler, positionals, nav=(), **kwargs):
+        sp = sub.add_parser(name, **kwargs)
+        for arg in positionals:
+            sp.add_argument(arg, type=int)
+        sp.add_argument(
+            "--output",
+            choices=["json", "text"],
+            default="json",
+            help="payload format on stdout (default: json)",
+        )
+        for field in nav:
+            flag = "--" + field.replace("_", "-")
+            sp.add_argument(flag, default=argparse.SUPPRESS, **_NAV_FLAGS[field])
+        sp.set_defaults(handler=handler)
+        return sp
+
+    command(
+        "navigate-diagonal", _cmd_navigate_diagonal, "p q a b".split(),
+        nav=("mode", "h_max_slack", "budget_rho"),
         help="distance and word from the identity to diag(a+ib, a-ib)",
     )
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("a", type=int)
-    sp.add_argument("b", type=int)
-    sp.set_defaults(handler=_cmd_navigate_diagonal)
-
-    sp = sub.add_parser(
-        "four-squares",
-        parents=[cfg_parent, out_parent],
+    command(
+        "four-squares", _cmd_four_squares, "n modulus r1 r2".split(),
+        nav=("mode", "budget_rho"),
         help="solve x²+y²+z²+w²=n with x≡r1, y≡r2, z≡w≡0 (mod modulus)",
     )
-    sp.add_argument("n", type=int)
-    sp.add_argument("modulus", type=int)
-    sp.add_argument("r1", type=int)
-    sp.add_argument("r2", type=int)
-    sp.set_defaults(handler=_cmd_four_squares)
-
-    sp = sub.add_parser(
-        "navigate",
-        parents=[cfg_parent, out_parent],
+    command(
+        "navigate", _cmd_navigate, "p q m11 m12 m21 m22".split(), nav=tuple(_NAV_FLAGS),
         help="word for an arbitrary PSL2(F_q) element, given row-major entries",
     )
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("m11", type=int)
-    sp.add_argument("m12", type=int)
-    sp.add_argument("m21", type=int)
-    sp.add_argument("m22", type=int)
-    sp.set_defaults(handler=_cmd_navigate)
-
-    sp = sub.add_parser(
-        "predict-bounds",
-        aliases=["predict"],
-        parents=[cfg_parent, out_parent],
+    command(
+        "predict-bounds", _cmd_predict_bounds, "p q a b".split(),
+        nav=("gamma", "c_gamma", "h_max_slack"), aliases=["predict"],
         help="lattice geometry and height bounds for a diagonal vertex",
     )
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("a", type=int)
-    sp.add_argument("b", type=int)
-    sp.set_defaults(handler=_cmd_predict_bounds)
-
-    sp = sub.add_parser(
-        "verify",
-        parents=[cfg_parent, out_parent],
+    command(
+        "verify", _cmd_verify, "p q".split(), nav=("gamma", "c_gamma"),
         help="BFS the whole graph (small q) and check structure + census",
     )
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.set_defaults(handler=_cmd_verify)
-
-    sp = sub.add_parser(
-        "np-reduce",
-        parents=[cfg_parent, out_parent],
+    sp = command(
+        "np-reduce", _cmd_np_reduce, (),
         help="encode a subset-sum instance as Gaussian-prime congruence data",
     )
     sp.add_argument("targets", type=int, nargs="+")
@@ -331,20 +270,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--q-mode", choices=["sequential", "randomized"], default="sequential"
     )
-    sp.set_defaults(handler=_cmd_np_reduce)
-
-    sp = sub.add_parser(
-        "np-decode",
-        parents=[out_parent],
+    sp.add_argument(
+        "--seed", type=int, default=0, help="seed for the generator and prime lifts"
+    )
+    sp = command(
+        "np-decode", _cmd_np_decode, "x y".split(),
         help="read the subset off a solution x²+y²=N of a reduced instance",
     )
-    sp.add_argument("x", type=int)
-    sp.add_argument("y", type=int)
     sp.add_argument(
         "--instance", default="-", help="instance JSON path, or - for stdin"
     )
-    sp.set_defaults(handler=_cmd_np_decode)
-
     return parser
 
 

@@ -81,7 +81,9 @@ class NpInstance:
 
     @staticmethod
     def from_json_dict(d: dict) -> "NpInstance":
-        return NpInstance(
+        """Parse `to_json_dict` output; ParameterError unless each target has
+        one π_j of norm primes[j] > 1 (what `decode` reads ε_j off)."""
+        inst = NpInstance(
             targets=tuple(int(x) for x in d["targets"]),
             target=int(d["target"]),
             q=int(d["q"]),
@@ -92,6 +94,12 @@ class NpInstance:
             primes=tuple(int(p) for p in d["primes"]),
             n=int(d["n"]),
         )
+        if not len(inst.targets) == len(inst.pi) == len(inst.primes):
+            raise ParameterError("targets, pi and primes must have equal lengths")
+        for (a, b), p in zip(inst.pi, inst.primes):
+            if a * a + b * b != p or p <= 1:
+                raise ParameterError(f"pi ({a}, {b}) must have norm {p}, a prime > 1")
+        return inst
 
 
 def reduce_subset_sum(

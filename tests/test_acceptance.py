@@ -49,7 +49,7 @@ B100 = 1284712970142165365412342134123412341234121234342141234133
 
 # --------------------------------------------------------------------------
 # Criterion 1: exact navigation reproduces true graph distances.
-@pytest.mark.parametrize("q", [29, 41])
+@pytest.mark.parametrize("q", [29, 41, 61])
 def test_criterion_1_diagonal_distances_match_bfs(q):
     """Every diagonal vertex of X_{5,q}: navigator height == BFS distance and
     the returned word is a non-backtracking walk evaluating to the vertex."""

@@ -1,5 +1,7 @@
 """CLI surface: payload schemas, exit codes, determinism, both output formats."""
 
+import argparse
+import hashlib
 import json
 import os
 import signal
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lpsnav
-from lpsnav.cli import main
+from lpsnav.cli import _build_parser, main
 from lpsnav.schemas import SCHEMAS, SchemaError, validate
 
 
@@ -140,11 +142,24 @@ def test_np_decode_norm_mismatch_exits_2(capsys, tmp_path):
 def test_np_decode_unreadable_instance_exits_2(capsys, tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
-    for path in (tmp_path / "missing.json", bad_json):
-        code, out, err = run(capsys, "np-decode", "--instance", str(path), "1", "1")
-        assert code == 2
+    fields = {"targets": [1], "target": 1, "q": "3", "s": "1", "g": ["0", "0"],
+              "residue": ["0", "0"]}
+    zero_pi = tmp_path / "zero_pi.json"  # norm(π) = 0: gauss_gcd(0, 0) raised
+    zero_pi.write_text(json.dumps(
+        {**fields, "pi": [["0", "0"]], "primes": ["0"], "n": "0"}))
+    no_pi = tmp_path / "no_pi.json"  # one target, no π: zip() truncated
+    no_pi.write_text(json.dumps({**fields, "pi": [], "primes": [], "n": "2"}))
+    for path, x, y in (
+        (tmp_path / "missing.json", "1", "1"),
+        (bad_json, "1", "1"),
+        (zero_pi, "0", "0"),
+        (no_pi, "1", "1"),
+    ):
+        code, out, err = run(capsys, "np-decode", "--instance", str(path), x, y)
+        assert code == 2, path
         assert out == ""
-        assert "error:" in err
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
 
 
 def test_determinism(capsys):
@@ -163,14 +178,68 @@ def test_text_output(capsys):
     assert lines["solution.x"] == "5"
 
 
-def test_env_defaults(capsys, monkeypatch):
-    monkeypatch.setenv("LPSNAV_OUTPUT", "text")
-    code, out, _ = run(capsys, "four-squares", "50", "5", "0", "0")
-    assert code == 0
-    assert out.startswith("modulus: 5")
-    # explicit flag wins over the environment
-    code, out, _ = run(capsys, "four-squares", "50", "5", "0", "0", "--output", "json")
-    assert out.startswith("{")
+Q100 = 6513516734600035718300327211250928237178281758494417357560086828416863929270451437126021949850746381
+
+# First 16 hex digits of the sha256 of stdout: the output contract.
+STDOUT_SHA256 = {
+    f"navigate-diagonal 5 {Q100} 0 1 --mode fast": "ff306d9deb434ef3",
+    f"navigate-diagonal 5 {Q100} 12345 67890 --mode fast": "05bef821ec749628",
+    "navigate-diagonal 5 27182818284590452489 3 4 --mode exact": "76b596621c418790",
+    "navigate-diagonal 5 41 3 4 --mode exact": "27ce9a125e3d8769",
+    "navigate 5 61 1 2 3 7": "68fbdf0360780b42",
+    "navigate 5 29 1 2 3 7": "642a08226a3d164a",
+    "predict 5 29 3 4": "21d253472add22b4",
+    f"predict 5 {Q100} 0 1": "aff4ca3d31bc9465",
+    "four-squares 625 10 5 0": "ceae0a8be8b40fea",
+    "four-squares 50 5 0 0": "65686a2fe7c85cd0",
+    "verify 5 29": "3fa6a03e43634bf3",
+    "np-reduce 3 5 8 --target 8 --seed 7": "f0248a0a05954d85",
+    "np-reduce 3 5 8 --target 8 --q-mode randomized --seed 3": "e78a72347bdaee5c",
+    "four-squares 50 5 0 0 --output text": "7116f8b051389537",
+    "navigate 5 29 1 2 3 7 --output text": "14528d0b0b8e4ecc",
+}
+
+
+def test_stdout_is_pinned(capsys):
+    for command, digest in STDOUT_SHA256.items():
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, command
+
+
+# Each command takes the NavConfig flags its handler reads, and no others.
+COMMAND_OPTIONS = {
+    "navigate-diagonal": {"--mode", "--h-max-slack", "--budget-rho"},
+    "four-squares": {"--mode", "--budget-rho"},
+    "navigate": {"--mode", "--gamma", "--c-gamma", "--h-max-slack", "--budget-rho", "--s-cap"},
+    "predict-bounds": {"--gamma", "--c-gamma", "--h-max-slack"},
+    "predict": {"--gamma", "--c-gamma", "--h-max-slack"},
+    "verify": {"--gamma", "--c-gamma"},
+    "np-reduce": {"--target", "--q-mode", "--seed"},
+    "np-decode": {"--instance"},
+}
+
+
+def test_each_command_takes_only_its_options():
+    (commands,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert set(commands.choices) == set(COMMAND_OPTIONS)
+    for name, sp in commands.choices.items():
+        flags = {f for a in sp._actions for f in a.option_strings}
+        assert flags - {"-h", "--help"} == COMMAND_OPTIONS[name] | {"--output"}, name
+
+
+def test_unread_flag_is_a_usage_error(capsys):
+    for argv in (
+        ("navigate-diagonal", "5", "29", "1", "2", "--seed", "1"),
+        ("four-squares", "50", "5", "0", "0", "--gamma", "1"),
+        ("np-reduce", "3", "--target", "3", "--mode", "exact"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == ""
 
 
 def test_bad_config_exits_2(capsys):
@@ -217,20 +286,6 @@ def test_verify_beyond_distance_table_exits_2_promptly(capsys):
     assert code == 2
     assert out == ""
     assert err.count("error:") == 1
-
-
-def test_bad_env_value_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("LPSNAV_GAMMA", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["predict", "5", "29", "0", "1"])
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
-    monkeypatch.delenv("LPSNAV_GAMMA")
-    monkeypatch.setenv("LPSNAV_MODE", "slow")
-    code, out, err = run(capsys, "navigate-diagonal", "5", "29", "1", "2")
-    assert code == 2
-    assert out == ""
-    assert "error:" in err
 
 
 def test_closed_stdout_exits_141_without_traceback():
