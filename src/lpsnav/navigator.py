@@ -166,32 +166,56 @@ def _vertex_checked(vertex: DiagonalVertex, params: GraphParams) -> None:
 
 
 def _height_forms(
-    params: GraphParams, a: int, b: int, lattice: SolutionLattice
-) -> Iterator[CandidateForm]:
-    """The candidate form of the vertex congruence at heights 0, 1, 2, ...
+    params: GraphParams, a: int, b: int, lattice: SolutionLattice, h_cap: int
+) -> Iterator[tuple[int, CandidateForm]]:
+    """(h, the candidate form of the vertex congruence at h) for each height
+    h = 0, ..., h_cap whose ellipse has rows; the other heights are skipped.
 
     With (r1, r2) ≡ λ(a, b) (mod q), height h's congruence
     2*r1*t1 + 2*r2*t2 ≡ k (mod 2q) says λ(a*t1 + b*t2) ≡ k/2 (mod q): k is
     even (p^h ≡ r1² ≡ 1, r2² ≡ 0 mod 4), the basis is that of `lattice`,
-    `solution_lattice(a, b, q)`, at every height, and (k/2)·λ⁻¹·e is on the
-    coset.  λ, λ⁻¹ and p^h advance by one multiplication each per height.
+    `solution_lattice(a, b, q)`, at every height, and pt = (k/2)·λ⁻¹·e is on
+    the coset.  λ, λ⁻¹ and p^h advance by one multiplication each per height.
+
+    Rows: with m = 2q and (x, y) = m·pt + (r1, r2), row x2 of the form is the
+    line (x, y) + m·(R·u1 + x2·u2), at distance |D + x2·m·q| / |u1| from the
+    origin, D = u1[0]·y - u1[1]·x, since det(u1, u2) = ±q.  So some row meets
+    the disk x² + y² <= p^h, and `_row_range` of the form is not None,
+    exactly when d = min(D mod mq, mq - D mod mq) has d² <= p^h·|u1|².  The
+    verdict is the same for every point of the coset, so it needs no
+    `shortest_coset_vector`.  The congruence checks `coset_form` makes are
+    made here at every height, skipped or not.
     """
     q, p = params.q, params.p
+    m, mq = 2 * q, 2 * q * q
+    m2 = m * m
     basis, e, _ = lattice
     u1, u2 = basis
     if abs(u1[0] * u2[1] - u1[1] * u2[0]) != q:
         raise RuntimeError(f"basis {u1}, {u2} has the wrong index for ({a}, {b}) mod {q}")
+    for u in basis:
+        if (a * u[0] + b * u[1]) % q:
+            raise RuntimeError(f"basis vector {u} is off the lattice of ({a}, {b}) mod {q}")
+    u1_sq = norm_sq(u1)
     nsq = (a * a + b * b) % q
     mu0 = sqrt_mod(pow(nsq, -1, q), q)
     sqrt_p_inv = pow(params.sqrt_p, -1, q)
     lam, lam_inv = mu0, mu0 * nsq % q  # λ and λ⁻¹ at h = 0; mu0² ≡ 1/nsq
-    n = 1
-    while True:
+    n = n_m2 = 1  # p^h, and p^h mod m²
+    for h in range(h_cap + 1):
         r1 = _parity_lift(lam * a, 1, q)
         r2 = _parity_lift(lam * b, 0, q)
-        s = (n - r1 * r1 - r2 * r2) // (4 * q) * lam_inv % q
-        yield coset_form(n, 2 * q, r1, r2, basis, (s * e[0] % q, s * e[1] % q))
+        s = (n_m2 - r1 * r1 - r2 * r2) // (4 * q) * lam_inv % q
+        pt = (s * e[0] % q, s * e[1] % q)
+        x, y = m * pt[0] + r1, m * pt[1] + r2
+        if (x * x + y * y - n_m2) % m2:
+            raise RuntimeError(f"coset point {pt} is off the coset of ({a}, {b}) at height {h}")
+        d = (u1[0] * y - u1[1] * x) % mq
+        d = min(d, mq - d)
+        if d * d <= n * u1_sq:
+            yield h, coset_form(n, m, r1, r2, basis, pt)
         n *= p
+        n_m2 = n_m2 * p % m2
         lam = lam * params.sqrt_p % q
         lam_inv = lam_inv * sqrt_p_inv % q
 
@@ -201,13 +225,15 @@ def _solve_heights(
 ) -> tuple[int, tuple[int, int, int, int], str]:
     """First height h with a certified solution of the vertex congruence.
 
-    Returns (h, (x, y, z, w), the mode that height was solved in).  "unknown"
-    at a height solved in "exact" mode voids the minimality certificate, so
-    it raises BudgetExhausted.  One λ sign suffices: negating (x, y) swaps the
-    two λ-lifts bijectively, so the solution sets at every height agree.
+    Returns (h, (x, y, z, w), the mode that height was solved in).  A height
+    `_height_forms` skips has no candidates, so it is certified absent in
+    every mode.  "unknown" at a height solved in "exact" mode voids the
+    minimality certificate, so it raises BudgetExhausted.  One λ sign
+    suffices: negating (x, y) swaps the two λ-lifts bijectively, so the
+    solution sets at every height agree.
     """
     h_cap = _least_height(1, params.p, params.q) + cfg.h_max_slack
-    for h, form in zip(range(h_cap + 1), _height_forms(params, a, b, lattice)):
+    for h, form in _height_forms(params, a, b, lattice, h_cap):
         mode = solve_mode(cfg.mode, form.n)
         res = solve_form(form, mode, cfg.budget_rho)
         if res.status == "found":

@@ -468,9 +468,11 @@ def two_squares(
     then trial-divides m, stops with "absent" at the first small prime ≡ 3
     (mod 4) that divides it to an odd power, and hands what is left to Brent
     rho, so "unknown" means only that the rho budget ran out.  "fast" factors
-    nothing: it certifies m = 1 and prime m ≡ 1 (mod 4), and answers
-    "unknown" for the composite m ≡ 1 (mod 4) it declines to factor.  Primes
-    certified on the way go straight to the Cornacchia descent.
+    nothing: it admits m = 1 and each m ≡ 1 (mod 4) that passes Baillie-PSW
+    alone, and answers "unknown" for an m that fails it, which it declines to
+    factor, and for an admitted m whose descent proves it composite.  Primes
+    certified on the way go straight to the Cornacchia descent, which checks
+    x² + y² = m, so a "found" pair is right whatever m fast mode admits.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -492,7 +494,9 @@ def two_squares(
         if _rho_split(rest, budget_rho, primes) != 1:
             return TwoSquares("unknown")
     elif m > 1:
-        if not is_prime(m):
+        # No composite is known to pass Baillie-PSW; the descent and the
+        # callers' checks on the pair stand in for the extra random rounds.
+        if not is_prime(m, rounds=0):
             return TwoSquares("unknown")
         primes[m] = 1
     scale = 1
@@ -501,7 +505,13 @@ def two_squares(
         z = gauss_mul(z, (1, 1))
     for p, e in primes.items():
         if p % 4 == 1:
-            rep = _cornacchia(p)
+            try:
+                rep = _cornacchia(p)
+            except ValueError:
+                # Only sqrt_mod raises ValueError, and only for a composite p.
+                if mode == "exact":
+                    raise
+                return TwoSquares("unknown")
             for _ in range(e):
                 z = gauss_mul(z, rep)
         elif e % 2 == 1:

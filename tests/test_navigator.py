@@ -1,6 +1,5 @@
 """Navigation layer: diagonal distances, bounds, decomposition, general case."""
 
-import itertools
 import math
 import random
 
@@ -8,7 +7,7 @@ import pytest
 
 import lpsnav.navigator as navigator
 from lpsnav.errors import ParameterError
-from lpsnav.foursquares import FourSquaresInstance, build_form
+from lpsnav.foursquares import FourSquaresInstance, _row_range, build_form
 from lpsnav.lattice2 import (
     SolutionLattice,
     congruence_lattice,
@@ -290,51 +289,108 @@ def test_one_vertex_lattice_serves_bounds_and_balance(q):
             assert lattices == [solution_lattice(1, v, q)]
 
 
-def _vertex_heights(q):
-    """(a, b, the vertex's scanned forms up to the height cap) for every
-    on-graph (a, b) mod q."""
-    params = GraphParams(5, q)
-    cap = navigator._least_height(1, 5, q) + NavConfig().h_max_slack
-    for a in range(q):
-        for b in range(q):
-            if (a or b) and DiagonalVertex(q, a, b).on_graph():
-                forms = navigator._height_forms(params, a, b, solution_lattice(a, b, q))
-                yield a, b, itertools.islice(forms, cap + 1)
+# The benchmark's 20-digit q and the acceptance suite's 100-digit q.
+Q20 = 27182818284590452489
+Q100 = 6513516734600035718300327211250928237178281758494417357560086828416863929270451437126021949850746381
+
+
+def _instances_by_height(params, a, b):
+    """The four-squares instance of the vertex (a, b) at each height up to
+    the cap, built apart from the scanner: λ from a direct power of √p."""
+    q = params.q
+    cap = navigator._least_height(1, params.p, q) + NavConfig().h_max_slack
+    mu0 = sqrt_mod(pow(a * a + b * b, -1, q), q)
+    for h in range(cap + 1):
+        lam = mu0 * pow(params.sqrt_p, h, q) % q
+        r1 = navigator._parity_lift(lam * a, 1, q)
+        r2 = navigator._parity_lift(lam * b, 0, q)
+        yield FourSquaresInstance(params.p**h, 2 * q, r1, r2)
+
+
+def _check_scan(params, a, b):
+    """The height scan of the vertex (a, b) yields a height's form exactly
+    when the height's own `build_form` has rows, and then equals it field for
+    field.  Returns every height's own form and the count the scan yielded."""
+    forms = [build_form(inst) for inst in _instances_by_height(params, a, b)]
+    lattice = solution_lattice(a, b, params.q)
+    scanned = dict(navigator._height_forms(params, a, b, lattice, len(forms) - 1))
+    assert max(scanned, default=0) < len(forms), (a, b)
+    for h, form in enumerate(forms):
+        if h in scanned:
+            assert scanned[h] == form, (a, b, h)
+        else:
+            assert _row_range(form) is None, (a, b, h)
+    return forms, len(scanned)
 
 
 @pytest.mark.parametrize("q", [29, 41, 61])
 def test_vertex_lattice_matches_per_height_form(q):
-    """The scanner's form at every height is the form the height's instance
-    alone gives, field for field, and its k is even, so no height is
-    infeasible."""
-    m, checked = 2 * q, 0
-    for a, b, forms in _vertex_heights(q):
-        for h, form in enumerate(forms):
-            assert (form.n, form.modulus) == (5**h, m), (a, b, h)
-            inst = FourSquaresInstance(form.n, m, form.r1, form.r2)
-            assert form == build_form(inst), (a, b, h)
-            k = (inst.n - inst.r1**2 - inst.r2**2) // m
-            assert k % 2 == 0, (a, b, h)
-            # Against the lattice primitives directly, as each height once
-            # built its form on its own.
-            c1, c2 = 2 * inst.r1 % m, 2 * inst.r2 % m
-            u1, u2 = gauss_reduce(*congruence_lattice(c1, c2, m))
-            u0 = shortest_coset_vector((u1, u2), particular_solution(c1, c2, k % m, m))
-            assert (form.u0, form.u1, form.u2) == (u0, u1, u2), (a, b, h)
-            checked += 1
-    assert checked > q * q // 4
+    """The scanner yields exactly the heights with rows, each with the form
+    the height's instance alone gives; every instance's k is even, so no
+    height is infeasible, and its form agrees with the lattice primitives."""
+    params, m = GraphParams(5, q), 2 * q
+    yielded = skipped = 0
+    for a in range(q):
+        for b in range(q):
+            if not ((a or b) and DiagonalVertex(q, a, b).on_graph()):
+                continue
+            forms, n_yielded = _check_scan(params, a, b)
+            yielded, skipped = yielded + n_yielded, skipped + len(forms) - n_yielded
+            for h, form in enumerate(forms):
+                k = (form.n - form.r1**2 - form.r2**2) // m
+                assert k % 2 == 0, (a, b, h)
+                # Against the lattice primitives directly, as each height
+                # once built its form on its own.
+                c1, c2 = 2 * form.r1 % m, 2 * form.r2 % m
+                u1, u2 = gauss_reduce(*congruence_lattice(c1, c2, m))
+                u0 = shortest_coset_vector((u1, u2), particular_solution(c1, c2, k % m, m))
+                assert (form.u0, form.u1, form.u2) == (u0, u1, u2), (a, b, h)
+    assert yielded > q * q // 4 and skipped > q * q // 4
+
+
+@pytest.mark.parametrize("q", [Q20, Q100], ids=["Q20", "Q100"])
+def test_height_skip_matches_row_range_at_benchmark_sizes(q):
+    """The same check on seeded vertices of the benchmark's two large moduli,
+    where almost every height below the answer is skipped."""
+    params, rng = GraphParams(5, q), random.Random(9)
+    vertices = 0
+    while vertices < 8:
+        a, b = rng.randrange(q), rng.randrange(q)
+        if (a or b) and DiagonalVertex(q, a, b).on_graph():
+            forms, yielded = _check_scan(params, a, b)
+            assert 0 < yielded < len(forms), (a, b)
+            vertices += 1
+
+
+def _bad_lattices(a, b):
+    """(lattice, the scanner's error) for three lattices that do not fit (a, b)."""
+    (u1, u2), unit, g = solution_lattice(a, b, 29)
+    return (
+        (SolutionLattice((u1, u2), (unit[0] + 1, unit[1]), g), "off the coset"),
+        (SolutionLattice((u1, (2 * u2[0], 2 * u2[1])), unit, g), "wrong index"),
+        (SolutionLattice(((0, 1), (29, 0)), unit, g), "off the lattice"),
+    )
 
 
 def test_lattice_checks_survive_optimization():
-    """A lattice that does not fit the vertex is a RuntimeError in the height
-    scan, not an assert that python -O strips."""
+    """A lattice that does not fit the vertex is a RuntimeError on the height
+    scan's first step, not an assert that python -O strips.  The scan's own
+    checks raise it, before any form is built, so a skipped height is checked
+    as a yielded one is."""
     params = GraphParams(5, 29)
-    (u1, u2), unit, g = solution_lattice(3, 4, 29)
-    for bad in (
-        SolutionLattice((u1, u2), (unit[0] + 1, unit[1]), g),  # wrong coset
-        SolutionLattice((u1, (2 * u2[0], 2 * u2[1])), unit, g),  # sublattice
-        SolutionLattice(((0, 1), (29, 0)), unit, g),  # off the lattice
-    ):
-        with pytest.raises(RuntimeError):
-            for _form in itertools.islice(navigator._height_forms(params, 3, 4, bad), 12):
-                pass
+
+    def first_height(a, b, lattice):
+        return next(navigator._height_forms(params, a, b, lattice, 12))[0]
+
+    # Height 0 of (3, 4) has rows; the first rows of (1, 8) and (0, 1) come
+    # at heights 5 and 7.
+    assert first_height(3, 4, solution_lattice(3, 4, 29)) == 0
+    assert first_height(1, 8, solution_lattice(1, 8, 29)) == 5
+    assert first_height(0, 1, solution_lattice(0, 1, 29)) == 7
+    cases = [(3, 4, *bad) for bad in _bad_lattices(3, 4)]
+    cases += [(1, 8, *bad) for bad in _bad_lattices(1, 8)]
+    (u1, u2), unit, g = solution_lattice(0, 1, 29)
+    cases.append((0, 1, SolutionLattice((u1, u2), (unit[0], unit[1] + 1), g), "off the coset"))
+    for a, b, bad, error in cases:
+        with pytest.raises(RuntimeError, match=error):
+            first_height(a, b, bad)

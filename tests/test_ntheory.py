@@ -335,6 +335,28 @@ def test_descent_check_survives_optimization(monkeypatch):
         two_squares(2 * 13, mode="fast")
 
 
+def test_fast_admission_error_survives_optimization(monkeypatch):
+    """Fast mode admits m by Baillie-PSW alone.  Should it admit a composite,
+    the descent's ValueError turns into "unknown", and a "found" pair is
+    still a true identity; exact mode, whose admission is 40 rounds
+    stronger, keeps raising."""
+    rounds = []
+    monkeypatch.setattr(ntheory, "is_prime", lambda n, *a, **k: rounds.append(k) or True)
+    composites = [21, 65, 561, 2**5 * 561]
+    composites += [n for n in range(9, 3000, 4) if not sympy.isprime(n)]
+    for n in composites:
+        res = two_squares(n, mode="fast")
+        assert res.status in ("unknown", "found"), n
+        if res.status == "found":
+            x, y = res.pair
+            assert x * x + y * y == n, n
+    assert rounds and all(k == {"rounds": 0} for k in rounds)
+    # 10007 ≡ 10039 ≡ 3 (mod 4): no prime below the trial bound divides the
+    # product, so exact mode's admission hands it to the descent.
+    with pytest.raises(ValueError):
+        two_squares(10007 * 10039)
+
+
 def test_gauss_gcd():
     rng = random.Random(15)
     for _ in range(300):
