@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 from .errors import ParameterError
@@ -89,9 +90,13 @@ class Quat:
         return math.gcd(math.gcd(abs(self.a), abs(self.b)), math.gcd(abs(self.c), abs(self.d)))
 
     def divexact(self, n: int) -> "Quat":
-        if any(x % n for x in self.coords()):
+        a, ra = divmod(self.a, n)
+        b, rb = divmod(self.b, n)
+        c, rc = divmod(self.c, n)
+        d, rd = divmod(self.d, n)
+        if ra or rb or rc or rd:
             raise RuntimeError(f"{self!r} is not divisible by {n}")
-        return Quat(self.a // n, self.b // n, self.c // n, self.d // n)
+        return Quat(a, b, c, d)
 
     def reduced(self, q: int) -> "Quat":
         return Quat(self.a % q, self.b % q, self.c % q, self.d % q)
@@ -274,6 +279,40 @@ class GraphParams:
         return self.q * (self.q * self.q - 1) // 2
 
 
+def _column_line(a: int, b: int, c: int, d: int, p: int, iota: int) -> int:
+    """The column space of a rank-one image of a + bi + cj + dk mod p.
+
+    The image is [[a+ιb, c+ιd], [−c+ιd, a−ιb]] (`quat_to_psl` with ι² ≡ −1
+    mod p); the point (x : y) of P¹(F_p) spanned by its first nonzero column
+    is numbered y/x when x ≠ 0 and p when x = 0.
+    """
+    x, y = (a + iota * b) % p, (iota * d - c) % p
+    if not (x or y):
+        x, y = (c + iota * d) % p, (a - iota * b) % p
+    return y * pow(x, -1, p) % p if x else p
+
+
+@cache
+def _peel_table(gens: GeneratorSet) -> tuple[int, tuple[int, ...], tuple[Quat, ...]]:
+    """(ι, generator index by line of P¹(F_p), conjugate of each generator).
+
+    Generator g divides a quaternion α of norm ≡ 0 (mod p) on the left iff
+    the images of α and g mod p have the same column space, so a generator
+    set whose p + 1 lines are distinct finds each letter by one lookup.
+    """
+    p = gens.p
+    if len(gens) != p + 1:
+        raise ParameterError(f"expected {p + 1} generators, got {len(gens)}")
+    iota = sqrt_mod(p - 1, p)
+    lines = [-1] * (p + 1)
+    for i, g in enumerate(gens.quats):
+        line = _column_line(g.a, g.b, g.c, g.d, p, iota)
+        if lines[line] >= 0:
+            raise ParameterError(f"generators {lines[line]} and {i} share a line mod {p}")
+        lines[line] = i
+    return iota, tuple(lines), tuple(gens.quats[j] for j in gens.conj)
+
+
 def factor_into_generators(alpha: Quat, gens: GeneratorSet) -> list[int]:
     """Peel a primitive quaternion of norm p^h into its unique generator word.
 
@@ -284,31 +323,25 @@ def factor_into_generators(alpha: Quat, gens: GeneratorSet) -> list[int]:
     p = gens.p
     n = alpha.norm()
     h = 0
-    while n % p == 0:
+    while n and n % p == 0:
         n //= p
         h += 1
     if n != 1:
         raise FactorizationError("norm is not a power of p")
     if alpha.content() % p == 0:
         raise FactorizationError("not primitive: every coordinate divisible by p")
-    # quats[conj[i]] is the conjugate of generator i.
-    conjugates = [gens.quats[j] for j in gens.conj]
+    iota, lines, conjugates = _peel_table(gens)
     word: list[int] = []
     cur = alpha
     for _ in range(h):
-        # g divides cur on the left iff every coordinate of conj(g)·cur is
-        # ≡ 0 (mod p), which only needs cur mod p.
-        small = cur.reduced(p)
-        hits = [
-            i
-            for i, gc in enumerate(conjugates)
-            if not any(x % p for x in (gc * small).coords())
-        ]
-        if not hits:
-            raise FactorizationError("no generator divides at this step")
-        if len(hits) > 1:
+        # Every generator divides a zero residue, none one of norm ≢ 0;
+        # otherwise the residue's column line names the one that does.
+        a, b, c, d = cur.a % p, cur.b % p, cur.c % p, cur.d % p
+        if not (a or b or c or d):
             raise FactorizationError("ambiguous peeling step")
-        i = hits[0]
+        if (a * a + b * b + c * c + d * d) % p:
+            raise FactorizationError("no generator divides at this step")
+        i = lines[_column_line(a, b, c, d, p, iota)]
         word.append(i)
         cur = (conjugates[i] * cur).divexact(p)
     if cur.coords() not in ((1, 0, 0, 0), (-1, 0, 0, 0)):

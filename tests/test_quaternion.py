@@ -7,11 +7,14 @@ import random
 import pytest
 
 from lpsnav.errors import ParameterError
+from lpsnav.ntheory import is_prime, sqrt_mod
 from lpsnav.quaternion import (
     FactorizationError,
+    GeneratorSet,
     GraphParams,
     PslElement,
     Quat,
+    _peel_table,
     evaluate_word,
     factor_into_generators,
     free_reduce,
@@ -181,23 +184,10 @@ def test_factor_round_trip(p):
         assert factor_into_generators(-alpha, gens) == word
 
 
-def test_factor_rejects_bad_inputs():
-    gens = lps_generators(5)
-    with pytest.raises(FactorizationError):
-        factor_into_generators(Quat(1, 1, 1, 0), gens)  # norm 3, not a power of 5
-    with pytest.raises(FactorizationError):
-        factor_into_generators(Quat(5, 0, 0, 0), gens)  # norm 25 but imprimitive
-    # norm 25, primitive, but the parity pattern (odd real part, even imaginary
-    # parts) fails, so peeling cannot terminate at a unit
-    with pytest.raises(FactorizationError):
-        factor_into_generators(Quat(0, 3, 4, 0), gens)
-    with pytest.raises(FactorizationError):
-        factor_into_generators(Quat(4, 3, 0, 0), gens)
-
-
 def full_product_peel(alpha, gens):
     """Peeling by p + 1 full quaternion products per letter: the reference
-    for factor_into_generators, which tests generators on alpha mod p."""
+    for factor_into_generators, which looks each letter up by the line of
+    its residue mod p."""
     p = gens.p
     n, h = alpha.norm(), 0
     while n % p == 0:
@@ -218,11 +208,11 @@ def full_product_peel(alpha, gens):
     return word
 
 
-@pytest.mark.parametrize("p", [5, 13, 17])
+@pytest.mark.parametrize("p", [5, 13, 17, 29, 37])
 def test_peel_matches_full_product_reference(p):
     """Same word, or the same refusal, as full-product peeling on products of
-    norm-p quaternions of every parity, so some are not generator words and,
-    with backtracking, some are imprimitive."""
+    up to 40 norm-p quaternions of every parity, so some are not generator
+    words and, with backtracking, some are imprimitive."""
     gens = lps_generators(p)
     r = math.isqrt(p)
     norm_p = [Quat(*c) for c in itertools.product(range(-r, r + 1), repeat=4)
@@ -230,9 +220,9 @@ def test_peel_matches_full_product_reference(p):
     assert len(norm_p) == 8 * (p + 1)
     rng = random.Random(37 + p)
     peeled = refused = 0
-    for _ in range(300):
+    for _ in range(600):
         alpha = Quat(1, 0, 0, 0)
-        for _ in range(rng.randrange(0, 7)):
+        for _ in range(rng.randrange(0, 41)):
             alpha = alpha * rng.choice(norm_p)
         try:
             expected = full_product_peel(alpha, gens)
@@ -244,6 +234,72 @@ def test_peel_matches_full_product_reference(p):
             peeled += 1
             assert factor_into_generators(alpha, gens) == expected
     assert peeled > 20 and refused > 20
+
+
+def test_peel_matches_full_product_reference_at_benchmark_length():
+    """Words of 400-450 letters, the length of a 100-digit diagonal answer."""
+    gens = lps_generators(5)
+    rng = random.Random(38)
+    for _ in range(20):
+        word = random_nonbacktracking_word(gens, rng.randrange(400, 451), rng)
+        alpha = word_product(word, gens)
+        for signed in (alpha, -alpha):
+            assert full_product_peel(signed, gens) == word
+            assert factor_into_generators(signed, gens) == word
+
+
+def column_lines(g, p, iota):
+    """The points of P^1(F_p) spanned by the nonzero columns of g's image
+    [[a+ιb, c+ιd], [-c+ιd, a-ιb]] mod p, each scaled to a first nonzero
+    entry of 1."""
+    a, b, c, d = g.coords()
+    lines = set()
+    for x, y in ((a + iota * b, -c + iota * d), (c + iota * d, a - iota * b)):
+        x, y = x % p, y % p
+        if x or y:
+            s = pow(x if x else y, -1, p)
+            lines.add((x * s % p, y * s % p))
+    return lines
+
+
+def test_generator_lines_are_a_bijection_onto_p1():
+    """Each generator's image mod p has rank one, and the p + 1 column lines
+    are the p + 1 points of P^1(F_p): one lookup finds each peeled letter."""
+    for p in range(5, 200, 4):
+        if not is_prime(p):
+            continue
+        gens = lps_generators(p)
+        iota = sqrt_mod(p - 1, p)
+        lines = []
+        for g in gens.quats:
+            (line,) = column_lines(g, p, iota)
+            lines.append(line)
+        assert len(set(lines)) == len(lines) == p + 1
+        table = _peel_table(gens)[1]
+        for i, (x, y) in enumerate(lines):
+            assert table[y * pow(x, -1, p) % p if x else p] == i
+
+
+def test_peel_refusals_survive_optimization():
+    """Every refusal of factor_into_generators is a raise that python -O
+    keeps, and the zero quaternion is refused instead of looping forever."""
+    gens = lps_generators(5)
+    with pytest.raises(FactorizationError, match="norm is not a power of p"):
+        factor_into_generators(Quat(0, 0, 0, 0), gens)
+    with pytest.raises(FactorizationError, match="norm is not a power of p"):
+        factor_into_generators(Quat(1, 1, 1, 0), gens)  # norm 3
+    with pytest.raises(FactorizationError, match="not primitive"):
+        factor_into_generators(Quat(5, 0, 0, 0), gens)  # norm 25 but imprimitive
+    # norm 25, primitive, but the parity pattern (odd real part, even imaginary
+    # parts) fails, so peeling cannot terminate at a unit
+    for alpha in (Quat(0, 3, 4, 0), Quat(4, 3, 0, 0)):
+        with pytest.raises(FactorizationError, match="residual unit"):
+            factor_into_generators(alpha, gens)
+    # -g has the line of g, so a set holding both cannot be peeled by lookup
+    quats = (-gens.quats[1],) + gens.quats[1:]
+    shared = GeneratorSet(5, quats, gens.conj, gens.names)
+    with pytest.raises(ParameterError, match="share a line"):
+        factor_into_generators(gens.quats[0], shared)
 
 
 def test_divexact_check_survives_optimization():
