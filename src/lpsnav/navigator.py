@@ -12,6 +12,7 @@ decomposition after a short correcting word.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,6 @@ from .quaternion import (
     free_reduce,
     inverse_word,
     psl_to_quat_class,
-    quat_to_psl,
 )
 
 __all__ = [
@@ -374,15 +374,16 @@ def predicted_bounds(
     )
 
 
-def decompose_xyz(g: PslElement, sqrt_m1: int) -> list[tuple[int, int, int]]:
-    """Solve class(g) = (1 + ix)(1 + jy)(1 + kz) over F_q; all valid triples.
+def decompose_xyz(alpha: Quat, q: int) -> list[tuple[int, int, int]]:
+    """Solve class(alpha) = (1 + ix)(1 + jy)(1 + kz) over F_q; all valid triples.
 
     The k-consistency condition is a quadratic in z whose discriminant must be
     a square; each usable root (A + Dz invertible, 1 + z² nonzero) gives one
-    triple.  Returns [] when the element is not decomposable.
+    triple.  The equations are homogeneous in (A, B, C, D), so every scalar
+    multiple of alpha mod q gives the same triples in the same order.
+    Returns [] when the element is not decomposable.
     """
-    q = g.q
-    A, B, C, D = psl_to_quat_class(g, sqrt_m1)
+    A, B, C, D = (x % q for x in alpha.coords())
     lead = (A * D - B * C) % q
     lin = (A * A + B * B - C * C - D * D) % q
     if lead != 0:
@@ -412,17 +413,18 @@ def decompose_xyz(g: PslElement, sqrt_m1: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _correcting_words(params: GraphParams) -> Iterator[list[int]]:
-    """Non-backtracking words ordered by length then lexicographically."""
-    gens = params.gens
-    frontier: list[list[int]] = [[]]
+def _correcting_words(params: GraphParams) -> Iterator[tuple[list[int], Quat]]:
+    """Non-backtracking words ordered by length then lexicographically, each
+    with its product of generator quaternions mod q."""
+    gens, q = params.gens, params.q
+    frontier: list[tuple[list[int], Quat]] = [([], Quat(1, 0, 0, 0))]
     while True:
         yield from frontier
         nxt = []
-        for w in frontier:
+        for w, acc in frontier:
             for j in range(len(gens)):
                 if not w or j != gens.conj[w[-1]]:
-                    nxt.append(w + [j])
+                    nxt.append((w + [j], (acc * gens.quats[j]).reduced(q)))
         frontier = nxt
 
 
@@ -449,10 +451,12 @@ def general_navigate(
 ) -> GeneralNavResult:
     """Navigate to an arbitrary element of PSL2(F_q).
 
-    Tries correcting words s in length-lex order until s·g decomposes as
-    (1+ix)(1+jy)(1+kz) with all three factors on the graph and all three
-    vertex lattices balanced, then navigates each factor and concatenates
-    word(s⁻¹) with the three factor words.
+    Tries the first cfg.s_cap correcting words s in length-lex order until
+    s·g decomposes as (1+ix)(1+jy)(1+kz) with all three factors on the graph
+    and all three vertex lattices balanced, then navigates each factor and
+    concatenates word(s⁻¹) with the three factor words.  The search runs on
+    quaternion classes mod q; g leaves PSL2 once, on entry, and the word
+    returns to it once, for the final check.
     """
     cfg = cfg or NavConfig()
     if g.q != params.q:
@@ -462,19 +466,11 @@ def general_navigate(
     q = params.q
     g_quat = Quat(*psl_to_quat_class(g, params.sqrt_m1))
     target = PslElement.canonical(q, g.m)
-    for s_index, s_word in enumerate(_correcting_words(params)):
-        if s_index >= cfg.s_cap:
-            raise BudgetExhausted("correcting-word budget exhausted")
-        acc = Quat(1, 0, 0, 0)
-        for i in s_word:
-            acc = (acc * params.gens.quats[i]).reduced(q)
-        shifted = (acc * g_quat).reduced(q)
-        shifted_psl = quat_to_psl(shifted, q, params.sqrt_m1)
-        for x, y, z in decompose_xyz(shifted_psl, params.sqrt_m1):
+    words = itertools.islice(_correcting_words(params), cfg.s_cap)
+    for s_index, (s_word, acc) in enumerate(words):
+        for x, y, z in decompose_xyz(acc * g_quat, q):
             values = (x, y, z)
-            if not all(
-                (n := (1 + v * v) % q) != 0 and legendre(n, q) == 1 for v in values
-            ):
+            if not all(DiagonalVertex(q, 1, v).on_graph() for v in values):
                 continue
             lattices = _axis_lattices(q, values, cfg)
             if lattices is None:

@@ -40,6 +40,7 @@ from lpsnav.quaternion import (
     factor_into_generators,
     is_nonbacktracking,
     lps_generators,
+    psl_to_quat_class,
 )
 
 Q100 = 6513516734600035718300327211250928237178281758494417357560086828416863929270451437126021949850746381
@@ -398,6 +399,6 @@ def test_criterion_8_decompose_acceptance_rate():
             if det != 0 and legendre(det, q) == 1:
                 break
         g = PslElement.canonical(q, m)
-        if decompose_xyz(g, sm1):
+        if decompose_xyz(Quat(*psl_to_quat_class(g, sm1)), q):
             hits += 1
     assert 0.40 <= hits / 1000 <= 0.60, hits

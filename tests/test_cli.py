@@ -197,6 +197,7 @@ STDOUT_SHA256 = {
     "np-reduce 3 5 8 --target 8 --q-mode randomized --seed 3": "e78a72347bdaee5c",
     "four-squares 50 5 0 0 --output text": "7116f8b051389537",
     "navigate 5 29 1 2 3 7 --output text": "14528d0b0b8e4ecc",
+    f"navigate 5 {Q100} 1 2 3 7 --mode fast": "20eb3b1aa4841db8",
 }
 
 

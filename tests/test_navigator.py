@@ -1,12 +1,13 @@
 """Navigation layer: diagonal distances, bounds, decomposition, general case."""
 
+import hashlib
 import math
 import random
 
 import pytest
 
 import lpsnav.navigator as navigator
-from lpsnav.errors import ParameterError
+from lpsnav.errors import BudgetExhausted, ParameterError
 from lpsnav.foursquares import FourSquaresInstance, _row_range, build_form
 from lpsnav.lattice2 import (
     SolutionLattice,
@@ -151,7 +152,7 @@ def test_decompose_xyz_verifies(q):
     produced = 0
     for _ in range(500):
         g = random_psl(q, rng)
-        for x, y, z in decompose_xyz(g, sqrt_m1):
+        for x, y, z in decompose_xyz(Quat(*psl_to_quat_class(g, sqrt_m1)), q):
             produced += 1
             prod = Quat(1, x, 0, 0) * Quat(1, 0, y, 0) * Quat(1, 0, 0, z)
             assert quat_to_psl(prod.reduced(q), q, sqrt_m1) == g
@@ -159,7 +160,8 @@ def test_decompose_xyz_verifies(q):
 
 
 def test_decompose_xyz_identity(params29):
-    triples = decompose_xyz(PslElement.identity(29), params29.sqrt_m1)
+    g = PslElement.identity(29)
+    triples = decompose_xyz(Quat(*psl_to_quat_class(g, params29.sqrt_m1)), 29)
     assert (0, 0, 0) in triples
 
 
@@ -177,7 +179,7 @@ def test_decompose_xyz_both_roots(params29):
         disc = (lin * lin + 4 * lead * lead) % q
         if disc == 0 or legendre(disc, q) != 1:
             continue
-        roots = {z for _x, _y, z in decompose_xyz(g, sqrt_m1)}
+        roots = {z for _x, _y, z in decompose_xyz(Quat(*psl_to_quat_class(g, sqrt_m1)), q)}
         inv = pow(2 * lead, -1, q)
         s = sqrt_mod(disc, q)
         expected = {(-lin + s) * inv % q, (-lin - s) * inv % q}
@@ -185,6 +187,27 @@ def test_decompose_xyz_both_roots(params29):
             z for z in expected if (A + D * z) % q == 0 or (1 + z * z) % q == 0
         }
         assert roots == expected - degenerate
+
+
+@pytest.mark.parametrize("q", [29, 101])
+def test_decompose_xyz_depends_only_on_the_class(q):
+    """Any scalar multiple of alpha mod q, and alpha's PSL round trip, give
+    alpha's triples in the same order."""
+    sqrt_m1 = sqrt_mod(q - 1, q)
+    rng = random.Random(57 + q)
+    decomposable = 0
+    for _ in range(300):
+        while True:
+            alpha = Quat(*(rng.randrange(q) for _ in range(4)))
+            if alpha.norm() % q:
+                break
+        triples = decompose_xyz(alpha, q)
+        decomposable += bool(triples)
+        c = rng.randrange(1, q)
+        assert decompose_xyz(Quat(*(c * x for x in alpha.coords())), q) == triples
+        round_trip = psl_to_quat_class(quat_to_psl(alpha, q, sqrt_m1), sqrt_m1)
+        assert decompose_xyz(Quat(*round_trip), q) == triples
+    assert decomposable > 100
 
 
 def test_general_navigate_round_trip(params29):
@@ -195,6 +218,24 @@ def test_general_navigate_round_trip(params29):
         got = evaluate_word(res.word, params29.gens, 29, params29.sqrt_m1)
         assert got == g
         assert is_nonbacktracking(res.word, params29.gens)
+
+
+# First 16 hex digits of the sha256 of (word, s_index, s_word, xyz,
+# factor_heights) over 300 seeded elements per q: general navigation's
+# output contract.
+GENERAL_NAV_SHA256 = {29: "aecb7e9a1c7f7d5c", 61: "830077a32ec7c941", 101: "97dd2194fedda2a6"}
+
+
+@pytest.mark.parametrize("q", sorted(GENERAL_NAV_SHA256))
+def test_general_navigate_outputs_are_pinned(q):
+    params = GraphParams(5, q)
+    rng = random.Random(56 + q)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        res = general_navigate(params, random_psl(q, rng))
+        fields = (res.word, res.s_index, res.s_word, res.xyz, res.factor_heights)
+        digest.update(repr(fields).encode())
+    assert digest.hexdigest()[:16] == GENERAL_NAV_SHA256[q]
 
 
 def test_general_navigate_identity(params29):
@@ -214,12 +255,20 @@ def test_general_navigate_rejects_non_psl(params29):
 
 def test_nav_config_budget_is_respected(params29):
     # s_cap of zero means not even the empty correcting word may be tried
-    from lpsnav.errors import BudgetExhausted
-
     with pytest.raises(BudgetExhausted):
         general_navigate(
             params29, PslElement.identity(29), NavConfig(s_cap=0)
         )
+
+
+def test_s_cap_counts_correcting_words_exactly(params29):
+    """This element needs correcting word number 15, the 16th tried."""
+    g = PslElement.canonical(29, (1, 2, 3, 7))
+    res = general_navigate(params29, g)
+    assert res.s_index == 15
+    with pytest.raises(BudgetExhausted):
+        general_navigate(params29, g, NavConfig(s_cap=15))
+    assert general_navigate(params29, g, NavConfig(s_cap=16)) == res
 
 
 def test_result_checks_survive_optimization(params29, monkeypatch):
@@ -259,7 +308,8 @@ def test_decomposition_check_survives_optimization(params29, monkeypatch):
     that python -O strips."""
     monkeypatch.setattr(navigator, "sqrt_mod", lambda a, p: (sqrt_mod(a, p) + 1) % p)
     with pytest.raises(RuntimeError, match="k-coefficient"):
-        decompose_xyz(PslElement.canonical(29, (1, 2, 3, 7)), params29.sqrt_m1)
+        g = PslElement.canonical(29, (1, 2, 3, 7))
+        decompose_xyz(Quat(*psl_to_quat_class(g, params29.sqrt_m1)), 29)
 
 
 @pytest.mark.parametrize("q", [29, 41, 61])
