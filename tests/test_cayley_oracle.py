@@ -6,6 +6,7 @@ s @ v over the generator images, so the structure checks do not rely on the
 oracle's own traversal.
 """
 
+import hashlib
 from functools import cache
 from itertools import product
 
@@ -13,6 +14,10 @@ import pytest
 
 from lpsnav.cayley_oracle import (
     MAX_ORACLE_Q,
+    _rank,
+    _square_ranks,
+    _squares,
+    _unrank,
     bfs_distances,
     build_graph,
     diagonal_distance_census,
@@ -47,14 +52,36 @@ def adjacency(graph):
     }
 
 
+@cache
+def graph_and_adjacency(p, q):
+    graph = build_graph(GraphParams(p, q))
+    return graph, adjacency(graph)
+
+
 @pytest.fixture(scope="module")
 def graph29():
-    return build_graph(GraphParams(5, 29))
+    return graph_and_adjacency(5, 29)[0]
 
 
 @pytest.fixture(scope="module")
-def adj29(graph29):
-    return adjacency(graph29)
+def adj29():
+    return graph_and_adjacency(5, 29)[1]
+
+
+# The first 16 hex digits of sha256(dist.tobytes()): the oracle's table, byte
+# for byte, so a rewrite of the BFS cannot move a single distance unnoticed.
+DIST_SHA256 = {
+    (5, 29): "286457ec822aad8c",
+    (5, 41): "e990deeb1d28873b",
+    (5, 61): "d2ed248b227ff4b8",
+    (13, 17): "842083fcb0f6883d",
+}
+
+
+@pytest.mark.parametrize("p, q", list(DIST_SHA256))
+def test_bfs_table_is_pinned(p, q):
+    dist = build_graph(GraphParams(p, q)).dist
+    assert hashlib.sha256(dist.tobytes()).hexdigest()[:16] == DIST_SHA256[p, q]
 
 
 def test_vertex_count_and_degree(graph29, adj29):
@@ -74,6 +101,18 @@ def test_vertex_index_is_bijection(p, q):
     assert sorted(graph.vertex_index(g) for g in elements) == list(range(len(graph)))
 
 
+@pytest.mark.parametrize("q", [29, 17])
+def test_unrank_inverts_rank(q):
+    """Every rank decodes to a canonical PSL2 matrix that ranks back to it:
+    the BFS frontier's rank -> matrix step is the exact inverse of `_rank`."""
+    squares, sqrank = _squares(q), _square_ranks(q)
+    for r in range(q * (q * q - 1) // 2):
+        m = _unrank(r, q, squares)
+        g = PslElement(q, m)
+        assert PslElement.canonical(q, m) == g and g.in_psl()
+        assert _rank(m, q, sqrank) == r
+
+
 def test_adjacency_is_symmetric(adj29):
     """s·v ~ v and v ~ s⁻¹·(s·v): undirectedness of the Cayley structure."""
     for u, nbrs in adj29.items():
@@ -91,12 +130,16 @@ def test_connected(graph29):
     assert dist[graph29.vertex_index(PslElement.identity(29))] == 0
 
 
-def test_bfs_is_metric(graph29, adj29):
+@pytest.mark.parametrize("p, q", [(5, 29), (13, 17)])
+def test_bfs_is_metric(p, q):
     """Neighbor distances differ by at most one, and every vertex but the
-    identity has a neighbor one step closer: the table is the graph distance."""
-    dist = bfs_distances(graph29)
-    identity = graph29.vertex_index(PslElement.identity(29))
-    for u, nbrs in adj29.items():
+    identity has a neighbor one step closer: the table is the graph distance.
+    The neighbours here are products s @ v of PslElements, independent of the
+    oracle's own rank arithmetic."""
+    graph, adj = graph_and_adjacency(p, q)
+    dist = bfs_distances(graph)
+    identity = graph.vertex_index(PslElement.identity(q))
+    for u, nbrs in adj.items():
         for w in nbrs:
             assert abs(dist[u] - dist[w]) <= 1
         if u != identity:
@@ -105,9 +148,9 @@ def test_bfs_is_metric(graph29, adj29):
 
 
 def test_second_graph_structure():
-    graph = build_graph(GraphParams(13, 17))
+    graph, adj = graph_and_adjacency(13, 17)
     assert len(graph) == 17 * (17 * 17 - 1) // 2
-    assert all(len(set(nbrs)) == 14 for nbrs in adjacency(graph).values())
+    assert all(len(set(nbrs)) == 14 for nbrs in adj.values())
     dist = bfs_distances(graph)
     assert all(d >= 0 for d in dist)
 

@@ -193,6 +193,7 @@ STDOUT_SHA256 = {
     "four-squares 625 10 5 0": "ceae0a8be8b40fea",
     "four-squares 50 5 0 0": "65686a2fe7c85cd0",
     "verify 5 29": "3fa6a03e43634bf3",
+    "verify 5 101": "af77b9c4673247bf",
     "np-reduce 3 5 8 --target 8 --seed 7": "f0248a0a05954d85",
     "np-reduce 3 5 8 --target 8 --q-mode randomized --seed 3": "e78a72347bdaee5c",
     "four-squares 50 5 0 0 --output text": "7116f8b051389537",
