@@ -4,10 +4,10 @@ Exit codes: 0 success, 1 a failed `verify` check, 2 bad parameters (including
 argparse errors), 3 budget or certification exhaustion (a four-squares
 "unknown" counts), 141 stdout closed by its reader before the output was
 written (no traceback; 128 + SIGPIPE, as a shell reports a writer killed by
-SIGPIPE).  JSON output is canonical — sorted keys, two-space indent — and
-validated against the schema table before printing; integers that may exceed
-2^53 are emitted as decimal strings.  Wall-clock time goes to stderr so stdout
-stays machine-readable.
+SIGPIPE).  JSON output is canonical — sorted keys, two-space indent;
+integers that may exceed 2^53 are emitted as decimal strings.  Wall-clock
+time goes to stderr so stdout stays machine-readable.  The payload schemas
+live with the tests (`tests/schemas.py`), which check every command's output.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .navigator import (
 )
 from .npreduction import NpInstance, decode, reduce_subset_sum
 from .quaternion import GraphParams, PslElement
-from .schemas import SCHEMAS, validate
 
 __all__ = ["main"]
 
@@ -69,7 +68,7 @@ def _solution_dict(sol: Optional[tuple[int, int, int, int]]) -> Optional[dict]:
     return {"x": str(sol[0]), "y": str(sol[1]), "z": str(sol[2]), "w": str(sol[3])}
 
 
-def _cmd_navigate_diagonal(args) -> tuple[str, dict, int]:
+def _cmd_navigate_diagonal(args) -> tuple[dict, int]:
     params = GraphParams(args.p, args.q)
     vertex = DiagonalVertex(args.q, args.a, args.b)
     cfg = _config(args)
@@ -85,10 +84,10 @@ def _cmd_navigate_diagonal(args) -> tuple[str, dict, int]:
         "solution": _solution_dict(res.solution),
         "mode": cfg.mode,
     }
-    return "navigate-diagonal", payload, 0
+    return payload, 0
 
 
-def _cmd_four_squares(args) -> tuple[str, dict, int]:
+def _cmd_four_squares(args) -> tuple[dict, int]:
     inst = FourSquaresInstance(args.n, args.modulus, args.r1, args.r2)
     cfg = _config(args)
     res = solve(inst, mode=cfg.mode, budget_rho=cfg.budget_rho)
@@ -101,10 +100,10 @@ def _cmd_four_squares(args) -> tuple[str, dict, int]:
         "solution": _solution_dict(res.solution),
         "tried": res.tried,
     }
-    return "four-squares", payload, 3 if res.status == "unknown" else 0
+    return payload, 3 if res.status == "unknown" else 0
 
 
-def _cmd_navigate(args) -> tuple[str, dict, int]:
+def _cmd_navigate(args) -> tuple[dict, int]:
     params = GraphParams(args.p, args.q)
     g = PslElement.canonical(args.q, (args.m11, args.m12, args.m21, args.m22))
     cfg = _config(args)
@@ -122,10 +121,10 @@ def _cmd_navigate(args) -> tuple[str, dict, int]:
         "xyz": [str(v) for v in res.xyz],
         "factor_heights": list(res.factor_heights),
     }
-    return "navigate", payload, 0
+    return payload, 0
 
 
-def _cmd_predict_bounds(args) -> tuple[str, dict, int]:
+def _cmd_predict_bounds(args) -> tuple[dict, int]:
     params = GraphParams(args.p, args.q)
     vertex = DiagonalVertex(args.q, args.a, args.b)
     rep = predicted_bounds(params, vertex, _config(args))
@@ -141,10 +140,10 @@ def _cmd_predict_bounds(args) -> tuple[str, dict, int]:
         "typical_bound": rep.typical_bound,
         "h_max": rep.h_max,
     }
-    return "predict-bounds", payload, 0
+    return payload, 0
 
 
-def _cmd_verify(args) -> tuple[str, dict, int]:
+def _cmd_verify(args) -> tuple[dict, int]:
     params = GraphParams(args.p, args.q)
     graph = build_graph(params)
     dist = bfs_distances(graph)
@@ -184,17 +183,17 @@ def _cmd_verify(args) -> tuple[str, dict, int]:
         "census_ok": census_ok,
         "ok": ok,
     }
-    return "verify", payload, 0 if ok else 1
+    return payload, 0 if ok else 1
 
 
-def _cmd_np_reduce(args) -> tuple[str, dict, int]:
+def _cmd_np_reduce(args) -> tuple[dict, int]:
     inst = reduce_subset_sum(
         args.targets, args.target, rng=Random(args.seed), q_mode=args.q_mode
     )
-    return "np-reduce", inst.to_json_dict(), 0
+    return inst.to_json_dict(), 0
 
 
-def _cmd_np_decode(args) -> tuple[str, dict, int]:
+def _cmd_np_decode(args) -> tuple[dict, int]:
     try:
         if args.instance == "-":
             raw = sys.stdin.read()
@@ -212,7 +211,7 @@ def _cmd_np_decode(args) -> tuple[str, dict, int]:
         "xi": [str(f) for f in res.xi],
         "subset_sum": res.subset_sum,
     }
-    return "np-decode", payload, 0
+    return payload, 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -323,8 +322,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     code = 0
     try:
-        name, payload, code = args.handler(args)
-        validate(payload, SCHEMAS[name])
+        payload, code = args.handler(args)
         if not _emit(payload, args.output):
             code = 141
     except ParameterError as exc:

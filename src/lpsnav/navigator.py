@@ -137,12 +137,6 @@ class GeneralNavResult:
     factor_heights: tuple[int, int, int]
 
 
-def _parity_lift(x: int, parity: int, q: int) -> int:
-    """The residue mod 2q that is ≡ x (mod q) and ≡ parity (mod 2)."""
-    v = x % q
-    return v if v % 2 == parity else v + q
-
-
 def _least_height(c: int, p: int, q: int) -> int:
     """Least h >= 0 with c·p^h >= 89 q⁴, in exact integer arithmetic."""
     target = 89 * q**4
@@ -174,8 +168,9 @@ def _height_forms(
     With (r1, r2) ≡ λ(a, b) (mod q), height h's congruence
     2*r1*t1 + 2*r2*t2 ≡ k (mod 2q) says λ(a*t1 + b*t2) ≡ k/2 (mod q): k is
     even (p^h ≡ r1² ≡ 1, r2² ≡ 0 mod 4), the basis is that of `lattice`,
-    `solution_lattice(a, b, q)`, at every height, and pt = (k/2)·λ⁻¹·e is on
-    the coset.  λ, λ⁻¹ and p^h advance by one multiplication each per height.
+    `solution_lattice(a, b, q)`, at every height, and pt = s·e with
+    s = (k/2)·λ⁻¹ is on the coset.  λa, λb and λ⁻¹ mod q advance by one
+    multiplication each per height; λ itself is never formed.
 
     Rows: with m = 2q and (x, y) = m·pt + (r1, r2), row x2 of the form is the
     line (x, y) + m·(R·u1 + x2·u2), at distance |D + x2·m·q| / |u1| from the
@@ -183,12 +178,21 @@ def _height_forms(
     the disk x² + y² <= p^h, and `_row_range` of the form is not None,
     exactly when d = min(D mod mq, mq - D mod mq) has d² <= p^h·|u1|².  The
     verdict is the same for every point of the coset, so it needs no
-    `shortest_coset_vector`.  The congruence checks `coset_form` makes are
-    made here at every height, skipped or not.
+    `shortest_coset_vector`, and it reads only residues:
+    D ≡ m·(s·c_e mod q) + u1[0]·r2 - u1[1]·r1 (mod mq), c_e = det(u1, e).
+    (x, y) is never formed, and the point and the form only at heights with
+    rows.
+
+    The coset check x² + y² ≡ p^h (mod m²), which says pt solves height h's
+    congruence, is made here at every height, skipped or not, in three
+    residue parts: a·e[0] + b·e[1] ≡ 1 (mod q) once per vertex, and at each
+    height 4q | p^h - r1² - r2² (the division that gives k/2 is exact) and
+    λ·λ⁻¹ ≡ 1 (mod q), read as λc·λ⁻¹ ≡ c on a nonzero coordinate c of
+    (a, b).  Together they give (r1, r2)·pt ≡ k/2 (mod q), which is the
+    check.  With the lattice checks they cover those `coset_form` makes.
     """
     q, p = params.q, params.p
-    m, mq = 2 * q, 2 * q * q
-    m2 = m * m
+    m, mq, m2, four_q = 2 * q, 2 * q * q, 4 * q * q, 4 * q
     basis, e, _ = lattice
     u1, u2 = basis
     if abs(u1[0] * u2[1] - u1[1] * u2[0]) != q:
@@ -196,27 +200,31 @@ def _height_forms(
     for u in basis:
         if (a * u[0] + b * u[1]) % q:
             raise RuntimeError(f"basis vector {u} is off the lattice of ({a}, {b}) mod {q}")
-    u1_sq = norm_sq(u1)
+    if (a * e[0] + b * e[1]) % q != 1:
+        raise RuntimeError(f"unit point {e} is off the coset of ({a}, {b}) mod {q}")
+    c_e = (u1[0] * e[1] - u1[1] * e[0]) % q
     nsq = (a * a + b * b) % q
     mu0 = sqrt_mod(pow(nsq, -1, q), q)
-    sqrt_p_inv = pow(params.sqrt_p, -1, q)
-    lam, lam_inv = mu0, mu0 * nsq % q  # λ and λ⁻¹ at h = 0; mu0² ≡ 1/nsq
-    n = n_m2 = 1  # p^h, and p^h mod m²
+    sqrt_p, sqrt_p_inv = params.sqrt_p, pow(params.sqrt_p, -1, q)
+    # λa, λb and λ⁻¹ at h = 0; mu0² ≡ 1/nsq
+    lam_a, lam_b, lam_inv = mu0 * a % q, mu0 * b % q, mu0 * nsq % q
+    via_a = a % q != 0  # λ·λ⁻¹ ≡ 1 is read off λa, or off λb when a ≡ 0
+    n_u1, n_m2 = norm_sq(u1), 1  # p^h·|u1|², and p^h mod m²
     for h in range(h_cap + 1):
-        r1 = _parity_lift(lam * a, 1, q)
-        r2 = _parity_lift(lam * b, 0, q)
-        s = (n_m2 - r1 * r1 - r2 * r2) // (4 * q) * lam_inv % q
-        pt = (s * e[0] % q, s * e[1] % q)
-        x, y = m * pt[0] + r1, m * pt[1] + r2
-        if (x * x + y * y - n_m2) % m2:
-            raise RuntimeError(f"coset point {pt} is off the coset of ({a}, {b}) at height {h}")
-        d = (u1[0] * y - u1[1] * x) % mq
+        r1 = lam_a if lam_a & 1 else lam_a + q
+        r2 = lam_b + q if lam_b & 1 else lam_b
+        half_k, rem = divmod(n_m2 - r1 * r1 - r2 * r2, four_q)
+        if rem or (lam_a * lam_inv - a if via_a else lam_b * lam_inv - b) % q:
+            raise RuntimeError(f"coset point is off the coset of ({a}, {b}) at height {h}")
+        s = half_k * lam_inv % q
+        d = (m * (s * c_e % q) + u1[0] * r2 - u1[1] * r1) % mq
         d = min(d, mq - d)
-        if d * d <= n * u1_sq:
-            yield h, coset_form(n, m, r1, r2, basis, pt)
-        n *= p
+        if d * d <= n_u1:
+            yield h, coset_form(p**h, m, r1, r2, basis, (s * e[0] % q, s * e[1] % q))
+        n_u1 *= p
         n_m2 = n_m2 * p % m2
-        lam = lam * params.sqrt_p % q
+        lam_a = lam_a * sqrt_p % q
+        lam_b = lam_b * sqrt_p % q
         lam_inv = lam_inv * sqrt_p_inv % q
 
 

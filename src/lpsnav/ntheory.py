@@ -2,7 +2,8 @@
 
 Primality testing follows the usual two-tier scheme: deterministic
 Miller-Rabin witness sets below the verified bound, Baillie-PSW plus random
-Miller-Rabin rounds above it.  Factoring is trial division plus Brent's
+Miller-Rabin rounds above it, after one gcd with the product of the small
+primes has rejected most composites.  Factoring is trial division plus Brent's
 cycle-finding variant of Pollard rho under an explicit iteration budget;
 callers must be prepared for an incomplete factorization (`cofactor > 1`).
 
@@ -54,6 +55,8 @@ def _sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = _sieve(_TRIAL_BOUND)
+# The trial primes past the 13 bases, multiplied together for one gcd.
+_SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES[len(_MR_BASES) :])
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -159,13 +162,15 @@ def is_prime(n: int, rng: Optional[random.Random] = None, rounds: int = 40) -> b
     """Primality test.
 
     Deterministic Miller-Rabin below the 13-base verified bound; above it,
+    one gcd with the product of the other trial primes (43 ... 9973), then
     Baillie-PSW (base-2 Miller-Rabin + strong Lucas) plus `rounds` rounds of
-    random-base Miller-Rabin.  `rng` seeds the extra rounds; a fixed default
-    keeps results reproducible.
+    random-base Miller-Rabin.  Such an n exceeds every trial prime, so a
+    shared factor proves it composite before any modular power is taken.
+    `rng` seeds the extra rounds; a fixed default keeps results reproducible.
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -173,6 +178,8 @@ def is_prime(n: int, rng: Optional[random.Random] = None, rounds: int = 40) -> b
     d >>= s
     if n < _MR_DETERMINISTIC_BOUND:
         return not any(_mr_witness(n, a, d, s) for a in _MR_BASES)
+    if math.gcd(n, _SMALL_PRIME_PRODUCT) != 1:
+        return False
     if _mr_witness(n, 2, d, s):
         return False
     if not _lucas_strong_prp(n):

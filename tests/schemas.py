@@ -1,8 +1,8 @@
 """Output contracts for the command-line interface.
 
-Every CLI command validates its own JSON payload against the table below
-before printing, so the emitted shapes cannot drift silently.  The validator
-covers the small schema dialect used here: type (possibly a union list),
+`test_cli.py` validates each command's JSON payload against the table
+below, so the emitted shapes cannot drift silently.  The validator covers
+the small schema dialect used here: type (possibly a union list),
 required/properties for objects, items for arrays, enum, and a regex pattern
 for strings.  Integers that may exceed 2^53 travel as decimal strings to stay
 exact for any JSON consumer.

@@ -13,7 +13,7 @@ import pytest
 
 import lpsnav
 from lpsnav.cli import _build_parser, main
-from lpsnav.schemas import SCHEMAS, SchemaError, validate
+from schemas import SCHEMAS, SchemaError, validate
 
 
 def run(capsys, *argv):

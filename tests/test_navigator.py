@@ -1,5 +1,6 @@
 """Navigation layer: diagonal distances, bounds, decomposition, general case."""
 
+import copy
 import hashlib
 import math
 import random
@@ -344,6 +345,12 @@ Q20 = 27182818284590452489
 Q100 = 6513516734600035718300327211250928237178281758494417357560086828416863929270451437126021949850746381
 
 
+def _parity_lift(x, parity, q):
+    """The residue mod 2q that is ≡ x (mod q) and ≡ parity (mod 2)."""
+    v = x % q
+    return v if v % 2 == parity else v + q
+
+
 def _instances_by_height(params, a, b):
     """The four-squares instance of the vertex (a, b) at each height up to
     the cap, built apart from the scanner: λ from a direct power of √p."""
@@ -352,8 +359,8 @@ def _instances_by_height(params, a, b):
     mu0 = sqrt_mod(pow(a * a + b * b, -1, q), q)
     for h in range(cap + 1):
         lam = mu0 * pow(params.sqrt_p, h, q) % q
-        r1 = navigator._parity_lift(lam * a, 1, q)
-        r2 = navigator._parity_lift(lam * b, 0, q)
+        r1 = _parity_lift(lam * a, 1, q)
+        r2 = _parity_lift(lam * b, 0, q)
         yield FourSquaresInstance(params.p**h, 2 * q, r1, r2)
 
 
@@ -444,3 +451,30 @@ def test_lattice_checks_survive_optimization():
     for a, b, bad, error in cases:
         with pytest.raises(RuntimeError, match=error):
             first_height(a, b, bad)
+
+
+def test_coset_residue_checks_survive_optimization(monkeypatch):
+    """A wrong λ or λ⁻¹ is a RuntimeError at the height where it first goes
+    wrong, though (1, 8) has no rows before height 5: a skipped height's
+    coset point is checked as strictly as a yielded one's."""
+    params = GraphParams(5, 29)
+    lattice = solution_lattice(1, 8, 29)
+
+    def scan(params):
+        return list(navigator._height_forms(params, 1, 8, lattice, 12))
+
+    assert min(h for h, _form in scan(params)) == 5
+    # √p wrong: λ²(a² + b²) ≢ p (mod q) at h = 1, so 4q does not divide
+    # p - r1² - r2².
+    bad = copy.copy(params)
+    bad.sqrt_p = params.sqrt_p + 1
+    with pytest.raises(RuntimeError, match=r"off the coset of \(1, 8\) at height 1$"):
+        scan(bad)
+
+    # λ right but λ⁻¹ wrong from h = 1 on: only λ·λ⁻¹ ≡ 1 catches it.
+    def wrong_inverse(x, e, mod):
+        return pow(x, e, mod) * (2 if (e, x) == (-1, params.sqrt_p) else 1) % mod
+
+    monkeypatch.setattr(navigator, "pow", wrong_inverse, raising=False)
+    with pytest.raises(RuntimeError, match=r"off the coset of \(1, 8\) at height 1$"):
+        scan(params)

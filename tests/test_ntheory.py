@@ -58,6 +58,29 @@ def test_is_prime_classic_traps():
     assert not is_prime(2**67 - 1)  # Mersenne composite (Cole's factorization)
 
 
+def test_small_factor_gcd_rejects_before_miller_rabin(monkeypatch):
+    """Above the deterministic bound, a factor 43 <= l < 10^4 is found by one
+    gcd: no Miller-Rabin witness is tried, and every verdict is sympy's."""
+    bound = ntheory._MR_DETERMINISTIC_BOUND
+    rng = random.Random(16)
+    small = [43, 9973] + [sympy.nextprime(rng.randrange(43, 9973)) for _ in range(10)]
+    with_small = [l * sympy.nextprime(rng.getrandbits(90)) for l in small]
+    with_small += [l * l * sympy.nextprime(rng.getrandbits(80)) for l in small[:6]]
+    without = [sympy.nextprime(rng.getrandbits(45)) * sympy.nextprime(rng.getrandbits(45))
+               for _ in range(6)]
+    without += [sympy.nextprime(rng.randrange(10**99, 10**100)) for _ in range(2)]
+    witnesses = []
+    witness = ntheory._mr_witness
+    monkeypatch.setattr(
+        ntheory, "_mr_witness", lambda *args: witnesses.append(args) or witness(*args)
+    )
+    for n in with_small + without:
+        assert n > bound, n
+        del witnesses[:]
+        assert is_prime(n) == sympy.isprime(n), n
+        assert bool(witnesses) == (n in without), n
+
+
 def test_xgcd():
     rng = random.Random(5)
     for _ in range(500):
