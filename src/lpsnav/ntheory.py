@@ -360,12 +360,16 @@ def factor(n: int, budget_rho: int = DEFAULT_RHO_BUDGET) -> Factorization:
 
 
 def sqrt_mod(a: int, p: int) -> int:
-    """Tonelli-Shanks square root of a mod odd prime p.
+    """Square root of a mod odd prime p.
 
     Returns the canonical root in [0, (p-1)//2]; raises ValueError when a is
-    a non-residue.  The auxiliary non-residue is found by scanning 2, 3, 4, ...
-    which keeps the whole routine deterministic.  A composite p ends in
-    ValueError too, within a bounded number of steps, never in a wrong root.
+    a non-residue.  One modular power finds it for p ≡ 3 (mod 4), and for
+    p ≡ 5 (mod 8) by Atkin's method (Cohen, *A Course in Computational
+    Algebraic Number Theory*, §1.5): b = (2a)^((p−5)/8), i = 2ab² is a root
+    of −1, and r = ab(i − 1).  For p ≡ 1 (mod 8) Tonelli-Shanks finds its
+    auxiliary non-residue by scanning 2, 3, 4, ... which keeps the whole
+    routine deterministic.  A composite p ends in ValueError too, within a
+    bounded number of steps, never in a wrong root: every root is checked.
     """
     a %= p
     if a == 0:
@@ -376,6 +380,10 @@ def sqrt_mod(a: int, p: int) -> int:
         raise ValueError("a is not a quadratic residue mod p")
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
+    elif p % 8 == 5:
+        b = pow(2 * a, (p - 5) // 8, p)
+        i = 2 * a * b * b % p
+        r = a * b * (i - 1) % p
     else:
         r = _tonelli_shanks(a, p)
     if r * r % p != a:

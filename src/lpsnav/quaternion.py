@@ -15,10 +15,11 @@ and Ramanujan Graphs" (2003), ch. 2 and 4.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ParameterError
 from .ntheory import is_prime, legendre, sqrt_mod
@@ -102,32 +103,61 @@ class Quat:
         return Quat(self.a % q, self.b % q, self.c % q, self.d % q)
 
 
-@dataclass(frozen=True)
 class PslElement:
-    """Canonical projective representative of an invertible 2x2 matrix over F_q.
+    """The projective class of an invertible 2x2 matrix over F_q.
 
-    Entries are stored row-major, scaled so the first nonzero entry is 1 —
-    the unique such representative of the projective class.
+    An element keeps the row-major representative it was built from, reduced
+    mod q, so a product `g @ h` costs eight multiplications and a
+    determinant check, with no modular inverse. `m` is the canonical
+    representative, scaled so that its first nonzero entry is 1; it is
+    computed on first read and cached. `==` tests the two representatives
+    for proportionality by cross products, and `hash` and `repr` use `m`.
     """
 
-    q: int
-    m: tuple[int, int, int, int]
+    __slots__ = ("q", "_e", "_m")
+
+    def __init__(self, q: int, m: Iterable[int]) -> None:
+        self.q = q
+        self._e = tuple(x % q for x in m)
+        self._m: Optional[tuple[int, ...]] = None
 
     @staticmethod
     def canonical(q: int, m: Iterable[int]) -> "PslElement":
-        e = tuple(x % q for x in m)
+        """The class of m mod q; ParameterError when m is singular mod q."""
+        g = PslElement(q, m)
+        e = g._e
         if len(e) != 4:
             raise ValueError("need exactly 4 matrix entries")
-        det = (e[0] * e[3] - e[1] * e[2]) % q
-        if det == 0:
+        if (e[0] * e[3] - e[1] * e[2]) % q == 0:
             raise ParameterError("matrix is singular mod q")
-        lead = next(x for x in e if x)
-        inv = pow(lead, -1, q)
-        return PslElement(q, tuple(x * inv % q for x in e))
+        return g
 
     @staticmethod
     def identity(q: int) -> "PslElement":
         return PslElement(q, (1, 0, 0, 1))
+
+    @property
+    def m(self) -> tuple[int, ...]:
+        if self._m is None:
+            inv = pow(next(x for x in self._e if x), -1, self.q)
+            self._m = tuple(x * inv % self.q for x in self._e)
+        return self._m
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PslElement):
+            return NotImplemented
+        x, y, q = self._e, other._e, self.q
+        # Proportional: with i the first nonzero index of x, y[i] ≠ 0 and
+        # x[i]·y ≡ y[i]·x, which puts y's first nonzero entry at i too.
+        i = 0 if x[0] else 1 if x[1] else 2 if x[2] else 3
+        xi, yi = x[i], y[i]
+        return q == other.q and yi != 0 and all((xi * v - yi * u) % q == 0 for u, v in zip(x, y))
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.m))
+
+    def __repr__(self) -> str:
+        return f"PslElement(q={self.q!r}, m={self.m!r})"
 
     def det(self) -> int:
         return (self.m[0] * self.m[3] - self.m[1] * self.m[2]) % self.q
@@ -139,14 +169,14 @@ class PslElement:
     def __matmul__(self, other: "PslElement") -> "PslElement":
         if self.q != other.q:
             raise ValueError("mixed moduli")
-        a, b, c, d = self.m
-        e, f, g, h = other.m
+        a, b, c, d = self._e
+        e, f, g, h = other._e
         return PslElement.canonical(
             self.q, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
         )
 
     def inverse(self) -> "PslElement":
-        a, b, c, d = self.m
+        a, b, c, d = self._e
         return PslElement.canonical(self.q, (d, -b, -c, a))
 
 
@@ -279,46 +309,85 @@ class GraphParams:
         return self.q * (self.q * self.q - 1) // 2
 
 
-def _column_line(a: int, b: int, c: int, d: int, p: int, iota: int) -> int:
-    """The column space of a rank-one image of a + bi + cj + dk mod p.
+def _column_line(a: int, b: int, c: int, d: int, p: int, pk: int, iota: int) -> int:
+    """The column line of the image of a + bi + cj + dk mod p^k, or -1.
 
     The image is [[a+ιb, c+ιd], [−c+ιd, a−ιb]] (`quat_to_psl` with ι² ≡ −1
-    mod p); the point (x : y) of P¹(F_p) spanned by its first nonzero column
-    is numbered y/x when x ≠ 0 and p when x = 0.
+    mod p^k). When its column space mod p^k is a line, that line is spanned
+    by the first column not ≡ 0 (mod p), (x : y), and it is numbered y/x when
+    p ∤ x and p^k + (x/y)/p otherwise: (p + 1)·p^(k−1) points, which are
+    y/x and p at k = 1. Returns -1 when the image is ≡ 0 (mod p).
     """
-    x, y = (a + iota * b) % p, (iota * d - c) % p
-    if not (x or y):
-        x, y = (c + iota * d) % p, (a - iota * b) % p
-    return y * pow(x, -1, p) % p if x else p
+    x, y = (a + iota * b) % pk, (iota * d - c) % pk
+    if not (x % p or y % p):
+        x, y = (c + iota * d) % pk, (a - iota * b) % pk
+    if x % p:
+        return y * pow(x, -1, pk) % pk
+    if y % p:
+        return pk + x * pow(y, -1, pk) % pk // p
+    return -1
+
+
+def _block_len(p: int) -> int:
+    """Letters per peel or evaluate step: the largest k whose tables of
+    (p + 1)·p^(k−1) reduced words hold at most 1000 entries (at least 1)."""
+    k = 1
+    while (p + 1) * p**k <= 1000:
+        k += 1
+    return k
+
+
+def _product(word: Sequence[int], gens: GeneratorSet) -> Quat:
+    acc = Quat(1, 0, 0, 0)
+    for i in word:
+        acc = acc * gens.quats[i]
+    return acc
 
 
 @cache
-def _peel_table(gens: GeneratorSet) -> tuple[int, tuple[int, ...], tuple[Quat, ...]]:
-    """(ι, generator index by line of P¹(F_p), conjugate of each generator).
+def _peel_table(gens: GeneratorSet, k: int = 1) -> tuple[int, int, tuple]:
+    """(p^k, ι mod p^k, the reduced k-letter word and the conjugate of its
+    product by column line of P¹(Z/p^k)).
 
-    Generator g divides a quaternion α of norm ≡ 0 (mod p) on the left iff
-    the images of α and g mod p have the same column space, so a generator
-    set whose p + 1 lines are distinct finds each letter by one lookup.
+    A reduced word w of k letters divides a primitive quaternion α of norm
+    divisible by p^k on the left iff the images of α and of w's product mod
+    p^k have the same column line, so a generator set whose p + 1 lines mod
+    p are distinct finds k letters by one lookup.
     """
     p = gens.p
     if len(gens) != p + 1:
         raise ParameterError(f"expected {p + 1} generators, got {len(gens)}")
+    if k > 1:
+        _peel_table(gens, 1)  # refuses a set that is not a bijection mod p
+    pk = p**k
     iota = sqrt_mod(p - 1, p)
-    lines = [-1] * (p + 1)
-    for i, g in enumerate(gens.quats):
-        line = _column_line(g.a, g.b, g.c, g.d, p, iota)
-        if lines[line] >= 0:
-            raise ParameterError(f"generators {lines[line]} and {i} share a line mod {p}")
-        lines[line] = i
-    return iota, tuple(lines), tuple(gens.quats[j] for j in gens.conj)
+    while (iota * iota + 1) % pk:  # Newton's lift of ι to a root mod p^k
+        iota = (iota - (iota * iota + 1) * pow(2 * iota, -1, pk)) % pk
+    table: list = [None] * (pk + pk // p)
+    for w in itertools.product(range(p + 1), repeat=k):
+        if not is_nonbacktracking(w, gens):
+            continue
+        prod = _product(w, gens)
+        line = _column_line(prod.a, prod.b, prod.c, prod.d, p, pk, iota)
+        if line < 0:
+            raise ParameterError(f"the product of generators {w} is ≡ 0 mod {p}")
+        if table[line] is not None:
+            u, v = (" ".join(map(str, x)) for x in (table[line][0], w))
+            raise ParameterError(f"generators {u} and {v} share a line mod {pk}")
+        table[line] = (w, prod.conjugate())
+    return pk, iota, tuple(table)
 
 
 def factor_into_generators(alpha: Quat, gens: GeneratorSet) -> list[int]:
     """Peel a primitive quaternion of norm p^h into its unique generator word.
 
     Returns indices [s_h, ..., s_1] whose quaternion product equals alpha up
-    to sign.  Raises FactorizationError when alpha is not primitive, when no
-    generator divides at some step, or when the division is ambiguous.
+    to sign.  Each step peels a block of k letters (`_block_len`): the
+    residues mod p^k name the block's column line, one lookup gives the
+    block, and one product and one exact division by p^k strip it.  The last
+    h mod k letters go one at a time.  Raises FactorizationError when alpha
+    is not primitive, when no generator divides at some step, or when the
+    division is ambiguous.
     """
     p = gens.p
     n = alpha.norm()
@@ -330,32 +399,51 @@ def factor_into_generators(alpha: Quat, gens: GeneratorSet) -> list[int]:
         raise FactorizationError("norm is not a power of p")
     if alpha.content() % p == 0:
         raise FactorizationError("not primitive: every coordinate divisible by p")
-    iota, lines, conjugates = _peel_table(gens)
+    k = _block_len(p)
     word: list[int] = []
     cur = alpha
-    for _ in range(h):
-        # Every generator divides a zero residue, none one of norm ≢ 0;
-        # otherwise the residue's column line names the one that does.
-        a, b, c, d = cur.a % p, cur.b % p, cur.c % p, cur.d % p
-        if not (a or b or c or d):
-            raise FactorizationError("ambiguous peeling step")
-        if (a * a + b * b + c * c + d * d) % p:
-            raise FactorizationError("no generator divides at this step")
-        i = lines[_column_line(a, b, c, d, p, iota)]
-        word.append(i)
-        cur = (conjugates[i] * cur).divexact(p)
+    for size, steps in ((k, h // k), (1, h % k)):
+        pk, iota, table = _peel_table(gens, size)
+        for _ in range(steps):
+            # Every block divides a residue ≡ 0 (mod p), none one of norm
+            # ≢ 0 (mod p^k); otherwise the column line names the one that does.
+            a, b, c, d = cur.a % pk, cur.b % pk, cur.c % pk, cur.d % pk
+            line = _column_line(a, b, c, d, p, pk, iota)
+            if line < 0:
+                raise FactorizationError("ambiguous peeling step")
+            if (a * a + b * b + c * c + d * d) % pk:
+                raise FactorizationError("no generator divides at this step")
+            block, conjugate = table[line]
+            word += block
+            cur = (conjugate * cur).divexact(pk)
     if cur.coords() not in ((1, 0, 0, 0), (-1, 0, 0, 0)):
         raise FactorizationError("residual unit is not ±1")
     return word
 
 
+@cache
+def _block_products(gens: GeneratorSet) -> tuple[int, dict[tuple[int, ...], Quat]]:
+    """(k, the product of each reduced k-letter word), multiplied from
+    `gens.quats` and not taken from the peel table."""
+    k = _block_len(gens.p)
+    words = itertools.product(range(len(gens)), repeat=k)
+    return k, {w: _product(w, gens) for w in words if is_nonbacktracking(w, gens)}
+
+
 def evaluate_word(
     word: Sequence[int], gens: GeneratorSet, q: int, sqrt_m1: int
 ) -> PslElement:
-    """Projective image of the word product (letters multiplied left to right)."""
+    """Projective image of the word product (letters multiplied left to right).
+
+    The word is multiplied k letters at a time (`_block_len`), by the
+    product of each reduced block; a block that backtracks, and the last
+    h mod k letters, are multiplied letter by letter.
+    """
+    k, blocks = _block_products(gens)
     acc = Quat(1, 0, 0, 0)
-    for i in word:
-        acc = (acc * gens.quats[i]).reduced(q)
+    for t in range(0, len(word), k):
+        block = tuple(word[t : t + k])
+        acc = (acc * (blocks.get(block) or _product(block, gens))).reduced(q)
     return quat_to_psl(acc, q, sqrt_m1)
 
 

@@ -23,6 +23,8 @@ from lpsnav.ntheory import (
     xgcd,
 )
 
+Q100 = 6513516734600035718300327211250928237178281758494417357560086828416863929270451437126021949850746381
+
 
 def sieve(n: int) -> list[bool]:
     flags = [True] * (n + 1)
@@ -172,8 +174,9 @@ def test_sqrt_mod():
 
 def test_sqrt_mod_composite_modulus_is_an_error():
     """A composite modulus ends in ValueError, never in a hang or a wrong
-    root: 21 sends Tonelli-Shanks round a cycle, 9 has no non-residue, and
-    the p ≡ 3 (mod 4) power gives 1 as a root of 4 mod 15."""
+    root: 33 sends Tonelli-Shanks round a cycle, 9 has no non-residue, the
+    p ≡ 3 (mod 4) power gives 1 as a root of 4 mod 15, and Atkin's method
+    for p ≡ 5 (mod 8) gives a wrong root of 20 mod 21."""
 
     def timeout(_signum, _frame):
         raise TimeoutError("sqrt_mod did not return within 5 s")
@@ -181,12 +184,38 @@ def test_sqrt_mod_composite_modulus_is_an_error():
     old = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(5)
     try:
-        for a, n in ((20, 21), (8, 9), (4, 15)):
+        for a, n in ((2, 33), (20, 21), (8, 9), (4, 15)):
             with pytest.raises(ValueError):
                 sqrt_mod(a, n)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("p", [29, 61, 101, 149, Q100], ids=str)
+def test_atkin_root_matches_tonelli_shanks(p):
+    """For p ≡ 5 (mod 8), Atkin's one-power root is the canonical root that
+    Tonelli-Shanks finds, and a non-residue is still refused."""
+    assert p % 8 == 5
+    rng = random.Random(p)
+    for _ in range(30):
+        a = pow(rng.randrange(1, p), 2, p)
+        r = ntheory._tonelli_shanks(a, p)
+        assert sqrt_mod(a, p) == min(r, p - r)
+        assert sqrt_mod(a + p, p) == min(r, p - r)
+        n = rng.randrange(1, p)
+        if legendre(n, p) == -1:
+            with pytest.raises(ValueError, match="not a quadratic residue"):
+                sqrt_mod(n, p)
+    assert sqrt_mod(p - 1, p) ** 2 % p == p - 1
+
+
+def test_atkin_root_refuses_a_composite_modulus():
+    """21 ≡ 5 (mod 8) and (20 | 21) = 1, so Atkin's formula runs and only the
+    r² ≡ a check catches the composite modulus."""
+    assert 21 % 8 == 5 and jacobi(20, 21) == 1
+    with pytest.raises(ValueError, match="not prime"):
+        sqrt_mod(20, 21)
 
 
 def test_sqrt_mod_is_deterministic():

@@ -14,6 +14,7 @@ from lpsnav.quaternion import (
     GraphParams,
     PslElement,
     Quat,
+    _block_len,
     _peel_table,
     evaluate_word,
     factor_into_generators,
@@ -24,6 +25,8 @@ from lpsnav.quaternion import (
     psl_to_quat_class,
     quat_to_psl,
 )
+
+Q100 = 6513516734600035718300327211250928237178281758494417357560086828416863929270451437126021949850746381
 
 
 def test_quat_algebra():
@@ -115,6 +118,53 @@ def test_psl_element_canonical_and_group_laws():
             assert PslElement.canonical(q, tuple(x * lam for x in m)) == g
         assert g @ g.inverse() == PslElement.identity(q)
         assert g.inverse() @ g == PslElement.identity(q)
+
+
+def reference_canonical(q, m):
+    """The class's representative with first nonzero entry 1, by one inverse."""
+    inv = pow(next(x for x in m if x % q), -1, q)
+    return tuple(x * inv % q for x in m)
+
+
+@pytest.mark.parametrize("q", [29, Q100], ids=["q29", "Q100"])
+def test_psl_product_and_equality_without_an_inverse(q):
+    """A product keeps an uncanonical representative; `==` and `hash` still
+    agree with the canonical form, and `.m` is the canonical product."""
+    rng = random.Random(q)
+
+    def element(m):
+        return PslElement.canonical(q, m)
+
+    mats = []
+    while len(mats) < 40:
+        m = tuple(rng.randrange(q) if rng.random() < 0.8 else 0 for _ in range(4))
+        if (m[0] * m[3] - m[1] * m[2]) % q:
+            mats.append(m)
+    for m, n in zip(mats, mats[1:] + mats[:1]):
+        g, h = element(m), element(n)
+        a, b, c, d = m
+        e, f, gg, hh = n
+        product = (a * e + b * gg, a * f + b * hh, c * e + d * gg, c * f + d * hh)
+        assert (g @ h).m == reference_canonical(q, product)
+        assert repr(g @ h) == f"PslElement(q={q}, m={reference_canonical(q, product)})"
+        for lam in (1, 2, q - 1, rng.randrange(1, q)):
+            scaled = element([x * lam for x in m])
+            assert scaled == g and hash(scaled) == hash(g)
+            assert scaled.m == g.m == reference_canonical(q, m)
+            assert (scaled @ h == g @ h) and hash(scaled @ h) == hash(g @ h)
+        assert (g == h) == (g.m == h.m) == (hash(g) == hash(h))
+        assert g != m  # not a PslElement
+    # a representative with a different first nonzero entry is another class
+    assert element((0, 1, 1, 0)) != element((1, 1, 1, 0)) != element((0, 1, 1, 0))
+    assert element((1, 0, 0, 1)) != element((0, 1, q - 1, 0))
+    assert PslElement.identity(q) != PslElement.identity(13)
+    singular = PslElement(q, (1, 2, 2, 4))
+    with pytest.raises(ParameterError, match="singular"):
+        element((1, 2, 2, 4))
+    with pytest.raises(ParameterError, match="singular"):
+        singular @ element(mats[0])
+    with pytest.raises(ParameterError, match="singular"):
+        element(mats[0]) @ singular
 
 
 def test_quat_psl_round_trip():
@@ -275,9 +325,59 @@ def test_generator_lines_are_a_bijection_onto_p1():
             (line,) = column_lines(g, p, iota)
             lines.append(line)
         assert len(set(lines)) == len(lines) == p + 1
-        table = _peel_table(gens)[1]
+        pk, table_iota, table = _peel_table(gens, 1)
+        assert (pk, table_iota, len(table)) == (p, iota, p + 1)
         for i, (x, y) in enumerate(lines):
-            assert table[y * pow(x, -1, p) % p if x else p] == i
+            assert table[y * pow(x, -1, p) % p if x else p] == ((i,), gens.quats[i].conjugate())
+
+
+# A q for each p with X_{p,q} non-bipartite, for the generator images.
+BLOCK_GRAPHS = {5: 29, 13: 17, 17: 13, 29: 53, 37: 41}
+
+
+def test_block_length_keeps_tables_small():
+    assert {p: _block_len(p) for p in BLOCK_GRAPHS} == {5: 4, 13: 2, 17: 2, 29: 2, 37: 1}
+    assert _block_len(1009) == 1
+
+
+@pytest.mark.parametrize("p", sorted(BLOCK_GRAPHS))
+def test_block_peel_and_evaluate_match_letter_by_letter(p):
+    """The k-letter table holds every reduced k-letter word once; peeling k
+    letters per step returns each reduced word of 0 ... 3k + 2 letters, and
+    evaluating k letters per step equals the left-to-right product of the
+    generator images, on backtracking words too."""
+    params = GraphParams(p, BLOCK_GRAPHS[p])
+    gens, q = params.gens, params.q
+    k = _block_len(p)
+    pk, iota, table = _peel_table(gens, k)
+    assert pk == p**k and (iota * iota + 1) % pk == 0
+    assert len(table) == (p + 1) * p ** (k - 1)
+    assert len({w for w, _ in table}) == len(table)
+    for w, conjugate in table:
+        assert len(w) == k and is_nonbacktracking(w, gens)
+        assert conjugate == word_product(w, gens).conjugate()
+    rng = random.Random(40 + p)
+    for length in range(3 * k + 3):
+        for _ in range(12):
+            word = random_nonbacktracking_word(gens, length, rng)
+            alpha = word_product(word, gens)
+            assert factor_into_generators(alpha, gens) == word
+            assert factor_into_generators(-alpha, gens) == word
+            letters = [rng.randrange(p + 1) for _ in range(length)]
+            for w in (word, letters):
+                expected = PslElement.identity(q)
+                for i in w:
+                    expected = expected @ params.gen_images[i]
+                assert evaluate_word(w, gens, q, params.sqrt_m1) == expected
+
+
+def test_block_table_refuses_a_wrong_conjugate_map():
+    """A set whose lines mod p are distinct but whose `conj` is wrong lets a
+    backtracking word into the k-letter table; its product is ≡ 0 (mod p)."""
+    gens = lps_generators(5)
+    wrong = GeneratorSet(5, gens.quats, tuple(range(6)), gens.names)
+    with pytest.raises(ParameterError, match="≡ 0 mod 5"):
+        factor_into_generators(gens.quats[0], wrong)
 
 
 def test_peel_refusals_survive_optimization():
