@@ -345,6 +345,13 @@ def _product(word: Sequence[int], gens: GeneratorSet) -> Quat:
 
 
 @cache
+def _block_products(gens: GeneratorSet, k: int) -> dict[tuple[int, ...], Quat]:
+    """The product of each reduced k-letter word, multiplied from `gens.quats`."""
+    words = itertools.product(range(len(gens)), repeat=k)
+    return {w: _product(w, gens) for w in words if is_nonbacktracking(w, gens)}
+
+
+@cache
 def _peel_table(gens: GeneratorSet, k: int = 1) -> tuple[int, int, tuple]:
     """(p^k, ι mod p^k, the reduced k-letter word and the conjugate of its
     product by column line of P¹(Z/p^k)).
@@ -364,10 +371,7 @@ def _peel_table(gens: GeneratorSet, k: int = 1) -> tuple[int, int, tuple]:
     while (iota * iota + 1) % pk:  # Newton's lift of ι to a root mod p^k
         iota = (iota - (iota * iota + 1) * pow(2 * iota, -1, pk)) % pk
     table: list = [None] * (pk + pk // p)
-    for w in itertools.product(range(p + 1), repeat=k):
-        if not is_nonbacktracking(w, gens):
-            continue
-        prod = _product(w, gens)
+    for w, prod in _block_products(gens, k).items():
         line = _column_line(prod.a, prod.b, prod.c, prod.d, p, pk, iota)
         if line < 0:
             raise ParameterError(f"the product of generators {w} is ≡ 0 mod {p}")
@@ -421,25 +425,18 @@ def factor_into_generators(alpha: Quat, gens: GeneratorSet) -> list[int]:
     return word
 
 
-@cache
-def _block_products(gens: GeneratorSet) -> tuple[int, dict[tuple[int, ...], Quat]]:
-    """(k, the product of each reduced k-letter word), multiplied from
-    `gens.quats` and not taken from the peel table."""
-    k = _block_len(gens.p)
-    words = itertools.product(range(len(gens)), repeat=k)
-    return k, {w: _product(w, gens) for w in words if is_nonbacktracking(w, gens)}
-
-
 def evaluate_word(
     word: Sequence[int], gens: GeneratorSet, q: int, sqrt_m1: int
 ) -> PslElement:
     """Projective image of the word product (letters multiplied left to right).
 
     The word is multiplied k letters at a time (`_block_len`), by the
-    product of each reduced block; a block that backtracks, and the last
-    h mod k letters, are multiplied letter by letter.
+    product of each reduced block (`_block_products`, which never reads the
+    peel table); a block that backtracks, and the last h mod k letters, are
+    multiplied letter by letter.
     """
-    k, blocks = _block_products(gens)
+    k = _block_len(gens.p)
+    blocks = _block_products(gens, k)
     acc = Quat(1, 0, 0, 0)
     for t in range(0, len(word), k):
         block = tuple(word[t : t + k])

@@ -108,8 +108,8 @@ def test_unrank_inverts_rank(q):
     squares, sqrank = _squares(q), _square_ranks(q)
     for r in range(q * (q * q - 1) // 2):
         m = _unrank(r, q, squares)
-        g = PslElement(q, m)
-        assert PslElement.canonical(q, m) == g and g.in_psl()
+        g = PslElement.canonical(q, m)
+        assert g.m == m and g.in_psl()
         assert _rank(m, q, sqrank) == r
 
 
