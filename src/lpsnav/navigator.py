@@ -159,37 +159,58 @@ def _vertex_checked(vertex: DiagonalVertex, params: GraphParams) -> None:
         )
 
 
+def _row_offsets(d0: int, d1: int, p: int, mq: int) -> Iterator[int]:
+    """D_0, D_1, D_2, ... mod mq from the first two: D_{h+2} ≡ p·D_h."""
+    while True:
+        yield d0
+        yield d1
+        d0, d1 = d0 * p % mq, d1 * p % mq
+
+
 def _height_forms(
     params: GraphParams, a: int, b: int, lattice: SolutionLattice, h_cap: int
 ) -> Iterator[tuple[int, CandidateForm]]:
     """(h, the candidate form of the vertex congruence at h) for each height
     h = 0, ..., h_cap whose ellipse has rows; the other heights are skipped.
 
-    With (r1, r2) ≡ λ(a, b) (mod q), height h's congruence
-    2*r1*t1 + 2*r2*t2 ≡ k (mod 2q) says λ(a*t1 + b*t2) ≡ k/2 (mod q): k is
+    With (r1, r2) ≡ λ_h(a, b) (mod q), λ_h = λ_0·√p^h, height h's congruence
+    2*r1*t1 + 2*r2*t2 ≡ k (mod 2q) says λ_h(a*t1 + b*t2) ≡ k/2 (mod q): k is
     even (p^h ≡ r1² ≡ 1, r2² ≡ 0 mod 4), the basis is that of `lattice`,
     `solution_lattice(a, b, q)`, at every height, and pt = s·e with
-    s = (k/2)·λ⁻¹ is on the coset.  λa, λb and λ⁻¹ mod q advance by one
-    multiplication each per height; λ itself is never formed.
+    s = (k/2)·λ_h⁻¹ is on the coset.
 
-    Rows: with m = 2q and (x, y) = m·pt + (r1, r2), row x2 of the form is the
-    line (x, y) + m·(R·u1 + x2·u2), at distance |D + x2·m·q| / |u1| from the
-    origin, D = u1[0]·y - u1[1]·x, since det(u1, u2) = ±q.  So some row meets
-    the disk x² + y² <= p^h, and `_row_range` of the form is not None,
-    exactly when d = min(D mod mq, mq - D mod mq) has d² <= p^h·|u1|².  The
-    verdict is the same for every point of the coset, so it needs no
-    `shortest_coset_vector`, and it reads only residues:
-    D ≡ m·(s·c_e mod q) + u1[0]·r2 - u1[1]·r1 (mod mq), c_e = det(u1, e).
-    (x, y) is never formed, and the point and the form only at heights with
-    rows.
+    Rows: with m = 2q and P = (x, y) = m·pt + (r1, r2), row x2 of the form is
+    the line P + m·(R·u1 + x2·u2), at distance |D + x2·m·q| / |u1| from the
+    origin, D = det(u1, P) = u1[0]·y - u1[1]·x, since det(u1, u2) = ±q.  So
+    some row meets the disk x² + y² <= p^h, and `_row_range` of the form is
+    not None, exactly when d = min(D mod mq, mq - D mod mq) has
+    d² <= p^h·|u1|².
 
-    The coset check x² + y² ≡ p^h (mod m²), which says pt solves height h's
-    congruence, is made here at every height, skipped or not, in three
-    residue parts: a·e[0] + b·e[1] ≡ 1 (mod q) once per vertex, and at each
-    height 4q | p^h - r1² - r2² (the division that gives k/2 is exact) and
-    λ·λ⁻¹ ≡ 1 (mod q), read as λc·λ⁻¹ ≡ c on a nonzero coordinate c of
-    (a, b).  Together they give (r1, r2)·pt ≡ k/2 (mod q), which is the
-    check.  With the lattice checks they cover those `coset_form` makes.
+    The row offset D mod mq is the same for every point P of the coset:
+    x ≡ r1, y ≡ r2 (mod m) and x² + y² ≡ p^h (mod m²).  Two such points
+    differ by m·v with v on the lattice, and det(u1, m·v) is a multiple of
+    m·q = mq.  If P is on height h's coset, p·P is on height h + 2's: p·λ_h
+    ≡ λ_{h+2} (mod q) as √p² ≡ p, p is odd so the parities stay, and
+    |p·P|² ≡ p^(h+2) (mod m²).  So D_{h+2} ≡ p·D_h (mod mq), and
+    `_row_offsets` carries D from D_0 and D_1 by one small multiplication
+    per height.  An empty height costs that, one square and one comparison;
+    the coset point, from λ_h = λ_(h mod 2)·p^⌊h/2⌋ and λ_h⁻¹ alike, is
+    formed only at h = 0, h = 1 and the heights with rows, and the form only
+    at the latter.  There D ≡ m·(s·c_e mod q) + u1[0]·r2 - u1[1]·r1
+    (mod mq), c_e = det(u1, e), is read off the point's residues.
+
+    Checks.  Once per vertex: the basis spans an index-q sublattice of
+    {a*t1 + b*t2 ≡ 0 (mod q)}, and a·e[0] + b·e[1] ≡ 1 (mod q).  Wherever a
+    coset point is formed, the check x² + y² ≡ p^h (mod m²), which says pt
+    solves height h's congruence, is made in two residue parts: 4q divides
+    p^h - r1² - r2² (the division that gives k/2 is exact), and
+    λ_h·λ_h⁻¹ ≡ 1 (mod q), read as λ_h·c·λ_h⁻¹ ≡ c on a nonzero coordinate c
+    of (a, b).  With the unit point check they give (r1, r2)·pt ≡ k/2
+    (mod q).  At h = 0 and h = 1 together they also give √p² ≡ p (mod q),
+    the premise of the recurrence.  At a height with rows the point's D is
+    compared with the recurrence's, which catches a fault in the recurrence
+    at the first height it yields.  A skipped height forms no coset point,
+    so it has nothing for the residue checks to check.
     """
     q, p = params.q, params.p
     m, mq, m2, four_q = 2 * q, 2 * q * q, 4 * q * q, 4 * q
@@ -206,26 +227,40 @@ def _height_forms(
     nsq = (a * a + b * b) % q
     mu0 = sqrt_mod(pow(nsq, -1, q), q)
     sqrt_p, sqrt_p_inv = params.sqrt_p, pow(params.sqrt_p, -1, q)
-    # λa, λb and λ⁻¹ at h = 0; mu0² ≡ 1/nsq
+    # (λa, λb, λ⁻¹) mod q at h = 0 and h = 1; mu0² ≡ 1/nsq
     lam_a, lam_b, lam_inv = mu0 * a % q, mu0 * b % q, mu0 * nsq % q
+    lams = (
+        (lam_a, lam_b, lam_inv),
+        (lam_a * sqrt_p % q, lam_b * sqrt_p % q, lam_inv * sqrt_p_inv % q),
+    )
     via_a = a % q != 0  # λ·λ⁻¹ ≡ 1 is read off λa, or off λb when a ≡ 0
-    n_u1, n_m2 = norm_sq(u1), 1  # p^h·|u1|², and p^h mod m²
-    for h in range(h_cap + 1):
+
+    def coset_point(h: int) -> tuple[int, int, int, int]:
+        """(r1, r2, s, D mod mq) of height h, after its residue checks."""
+        lam_a, lam_b, lam_inv = lams[h & 1]
+        t, t_inv = pow(p, h >> 1, q), pow(p, -(h >> 1), q)  # p^⌊h/2⌋ and its inverse
+        lam_a, lam_b, lam_inv = lam_a * t % q, lam_b * t % q, lam_inv * t_inv % q
         r1 = lam_a if lam_a & 1 else lam_a + q
         r2 = lam_b + q if lam_b & 1 else lam_b
-        half_k, rem = divmod(n_m2 - r1 * r1 - r2 * r2, four_q)
+        half_k, rem = divmod(pow(p, h, m2) - r1 * r1 - r2 * r2, four_q)
         if rem or (lam_a * lam_inv - a if via_a else lam_b * lam_inv - b) % q:
             raise RuntimeError(f"coset point is off the coset of ({a}, {b}) at height {h}")
         s = half_k * lam_inv % q
-        d = (m * (s * c_e % q) + u1[0] * r2 - u1[1] * r1) % mq
-        d = min(d, mq - d)
-        if d * d <= n_u1:
+        return r1, r2, s, (m * (s * c_e % q) + u1[0] * r2 - u1[1] * r1) % mq
+
+    offsets = _row_offsets(coset_point(0)[3], coset_point(1)[3], p, mq)
+    n_u1 = norm_sq(u1)  # p^h·|u1|²
+    for h in range(h_cap + 1):
+        d = next(offsets)
+        r = mq - d if d + d > mq else d
+        if r * r <= n_u1:
+            r1, r2, s, d_point = coset_point(h)
+            if d_point != d:
+                raise RuntimeError(
+                    f"row offset {d} of ({a}, {b}) at height {h} is not its coset point's {d_point}"
+                )
             yield h, coset_form(p**h, m, r1, r2, basis, (s * e[0] % q, s * e[1] % q))
         n_u1 *= p
-        n_m2 = n_m2 * p % m2
-        lam_a = lam_a * sqrt_p % q
-        lam_b = lam_b * sqrt_p % q
-        lam_inv = lam_inv * sqrt_p_inv % q
 
 
 def _solve_heights(

@@ -244,12 +244,6 @@ class Factorization:
     def complete(self) -> bool:
         return self.cofactor == 1
 
-    def value(self) -> int:
-        out = self.cofactor
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
 
 class _Budget:
     __slots__ = ("left",)

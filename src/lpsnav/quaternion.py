@@ -63,9 +63,6 @@ class Quat:
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
         )
 
-    def __neg__(self) -> "Quat":
-        return Quat(-self.a, -self.b, -self.c, -self.d)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Quat)
@@ -107,28 +104,29 @@ class PslElement:
     """The projective class of an invertible 2x2 matrix over F_q.
 
     An element keeps the row-major representative it was built from, reduced
-    mod q, so a product `g @ h` costs eight multiplications and a
-    determinant check, with no modular inverse. `m` is the canonical
+    mod q, and that representative's determinant, so a product `g @ h` costs
+    eight multiplications for its entries and one for its determinant, which
+    must be nonzero, with no modular inverse. `m` is the canonical
     representative, scaled so that its first nonzero entry is 1; it is
     computed on first read and cached. `==` tests the two representatives
     for proportionality by cross products, and `hash` and `repr` use `m`.
     """
 
-    __slots__ = ("q", "_e", "_m")
+    __slots__ = ("q", "_e", "_d", "_m")
 
     def __init__(self, q: int, m: Iterable[int]) -> None:
         self.q = q
-        self._e = tuple(x % q for x in m)
+        self._e = e = tuple(x % q for x in m)
+        if len(e) != 4:
+            raise ValueError("need exactly 4 matrix entries")
+        self._d = (e[0] * e[3] - e[1] * e[2]) % q  # det of the representative
         self._m: Optional[tuple[int, ...]] = None
 
     @staticmethod
     def canonical(q: int, m: Iterable[int]) -> "PslElement":
         """The class of m mod q; ParameterError when m is singular mod q."""
         g = PslElement(q, m)
-        e = g._e
-        if len(e) != 4:
-            raise ValueError("need exactly 4 matrix entries")
-        if (e[0] * e[3] - e[1] * e[2]) % q == 0:
+        if g._d == 0:
             raise ParameterError("matrix is singular mod q")
         return g
 
@@ -146,12 +144,27 @@ class PslElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PslElement):
             return NotImplemented
-        x, y, q = self._e, other._e, self.q
+        x0, x1, x2, x3 = self._e
+        y0, y1, y2, y3 = other._e
+        q = self.q
         # Proportional: with i the first nonzero index of x, y[i] ≠ 0 and
         # x[i]·y ≡ y[i]·x, which puts y's first nonzero entry at i too.
-        i = 0 if x[0] else 1 if x[1] else 2 if x[2] else 3
-        xi, yi = x[i], y[i]
-        return q == other.q and yi != 0 and all((xi * v - yi * u) % q == 0 for u, v in zip(x, y))
+        if x0:
+            xi, yi = x0, y0
+        elif x1:
+            xi, yi = x1, y1
+        elif x2:
+            xi, yi = x2, y2
+        else:
+            xi, yi = x3, y3
+        return (
+            q == other.q
+            and yi != 0
+            and (xi * y0 - yi * x0) % q == 0
+            and (xi * y1 - yi * x1) % q == 0
+            and (xi * y2 - yi * x2) % q == 0
+            and (xi * y3 - yi * x3) % q == 0
+        )
 
     def __hash__(self) -> int:
         return hash((self.q, self.m))
@@ -167,17 +180,20 @@ class PslElement:
         return legendre(self.det(), self.q) == 1
 
     def __matmul__(self, other: "PslElement") -> "PslElement":
-        if self.q != other.q:
+        q = self.q
+        if q != other.q:
             raise ValueError("mixed moduli")
         a, b, c, d = self._e
         e, f, g, h = other._e
-        return PslElement.canonical(
-            self.q, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        det = self._d * other._d % q  # det(gh) = det(g)·det(h)
+        if det == 0:
+            raise ParameterError("matrix is singular mod q")
+        out = object.__new__(PslElement)
+        out.q, out._d, out._m = q, det, None
+        out._e = (
+            (a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q
         )
-
-    def inverse(self) -> "PslElement":
-        a, b, c, d = self._e
-        return PslElement.canonical(self.q, (d, -b, -c, a))
+        return out
 
 
 @dataclass(frozen=True)

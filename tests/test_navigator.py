@@ -417,6 +417,16 @@ def test_height_skip_matches_row_range_at_benchmark_sizes(q):
             forms, yielded = _check_scan(params, a, b)
             assert 0 < yielded < len(forms), (a, b)
             vertices += 1
+    # Hole-regime vertices: u1 is tiny and the first rows come early.
+    holes = 0
+    while holes < 4:
+        a, b = rng.randrange(1, 1000), rng.randrange(1, 1000)
+        vertex = DiagonalVertex(q, a, b)
+        if vertex.on_graph():
+            assert predicted_bounds(params, vertex).regime == "hole", (a, b)
+            forms, yielded = _check_scan(params, a, b)
+            assert 0 < yielded < len(forms), (a, b)
+            holes += 1
 
 
 def _bad_lattices(a, b):
@@ -431,9 +441,9 @@ def _bad_lattices(a, b):
 
 def test_lattice_checks_survive_optimization():
     """A lattice that does not fit the vertex is a RuntimeError on the height
-    scan's first step, not an assert that python -O strips.  The scan's own
-    checks raise it, before any form is built, so a skipped height is checked
-    as a yielded one is."""
+    scan's first step, not an assert that python -O strips.  The scan's
+    once-per-vertex checks raise it, before the coset points of heights 0
+    and 1 are formed and before any form is built."""
     params = GraphParams(5, 29)
 
     def first_height(a, b, lattice):
@@ -454,9 +464,10 @@ def test_lattice_checks_survive_optimization():
 
 
 def test_coset_residue_checks_survive_optimization(monkeypatch):
-    """A wrong λ or λ⁻¹ is a RuntimeError at the height where it first goes
-    wrong, though (1, 8) has no rows before height 5: a skipped height's
-    coset point is checked as strictly as a yielded one's."""
+    """A wrong λ or λ⁻¹ is a RuntimeError at height 1, though (1, 8) has no
+    rows before height 5: the scan forms and checks the coset points of
+    heights 0 and 1, which start its row-offset recurrence, before it
+    yields, and checks the same way the point of every height it yields."""
     params = GraphParams(5, 29)
     lattice = solution_lattice(1, 8, 29)
 
@@ -478,3 +489,34 @@ def test_coset_residue_checks_survive_optimization(monkeypatch):
     monkeypatch.setattr(navigator, "pow", wrong_inverse, raising=False)
     with pytest.raises(RuntimeError, match=r"off the coset of \(1, 8\) at height 1$"):
         scan(params)
+
+
+def test_row_offset_check_survives_optimization(monkeypatch):
+    """A fault in the row-offset recurrence is a RuntimeError at the first
+    height the faulty scan yields, not an assert that python -O strips: the
+    yielded height's coset point gives its own row offset, and the two
+    disagree."""
+    params = GraphParams(5, 29)
+    lattice = solution_lattice(1, 8, 29)
+    row_offsets = navigator._row_offsets
+
+    def scan():
+        return navigator._height_forms(params, 1, 8, lattice, 12)
+
+    assert next(scan())[0] == 5
+
+    # Height 3 has no rows, but an offset of 0 puts a row through the origin.
+    def zero_at_3(d0, d1, p, mq):
+        for h, d in enumerate(row_offsets(d0, d1, p, mq)):
+            yield 0 if h == 3 else d
+
+    monkeypatch.setattr(navigator, "_row_offsets", zero_at_3)
+    with pytest.raises(RuntimeError, match=r"row offset 0 of \(1, 8\) at height 3 "):
+        next(scan())
+    # A wrong step from height 2 on skips height 5, which has rows, and puts
+    # rows at height 6 that its coset point does not have.
+    monkeypatch.setattr(
+        navigator, "_row_offsets", lambda d0, d1, p, mq: row_offsets(d0, d1, p + 1, mq)
+    )
+    with pytest.raises(RuntimeError, match=r"row offset 602 of \(1, 8\) at height 6 "):
+        next(scan())

@@ -29,12 +29,17 @@ from lpsnav.quaternion import (
 Q100 = 6513516734600035718300327211250928237178281758494417357560086828416863929270451437126021949850746381
 
 
+def negated(alpha):
+    """-alpha, coordinate by coordinate."""
+    return Quat(*(-x for x in alpha.coords()))
+
+
 def test_quat_algebra():
     i = Quat(0, 1, 0, 0)
     j = Quat(0, 0, 1, 0)
     k = Quat(0, 0, 0, 1)
     assert i * j == k and j * k == i and k * i == j
-    assert j * i == -k
+    assert j * i == negated(k)
     assert i * i == Quat(-1, 0, 0, 0)
     rng = random.Random(31)
     for _ in range(200):
@@ -116,8 +121,10 @@ def test_psl_element_canonical_and_group_laws():
         # scaling the representative does not change the class
         for lam in (2, 17, q - 1):
             assert PslElement.canonical(q, tuple(x * lam for x in m)) == g
-        assert g @ g.inverse() == PslElement.identity(q)
-        assert g.inverse() @ g == PslElement.identity(q)
+        a, b, c, d = m
+        inverse = PslElement.canonical(q, (d, -b, -c, a))
+        assert g @ inverse == PslElement.identity(q)
+        assert inverse @ g == PslElement.identity(q)
 
 
 def reference_canonical(q, m):
@@ -165,6 +172,33 @@ def test_psl_product_and_equality_without_an_inverse(q):
         singular @ element(mats[0])
     with pytest.raises(ParameterError, match="singular"):
         element(mats[0]) @ singular
+
+
+@pytest.mark.parametrize("q", [29, Q100], ids=["q29", "Q100"])
+def test_psl_product_is_the_class_of_the_matrix_product(q):
+    """`g @ h` is the class `canonical` gives the raw matrix product, from
+    representatives in any scaling; a singular factor is a ParameterError,
+    and a representative without four entries a ValueError."""
+    rng = random.Random(q + 1)
+    done = 0
+    while done < 60:
+        m = tuple(rng.randrange(q) for _ in range(4))
+        n = tuple(rng.randrange(q) for _ in range(4))
+        a, b, c, d = m
+        e, f, g, h = n
+        product = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        if (a * d - b * c) % q == 0 or (e * h - f * g) % q == 0:
+            continue
+        lam = rng.randrange(1, q)
+        got = PslElement(q, [x * lam for x in m]) @ PslElement(q, n)
+        assert got.m == PslElement.canonical(q, product).m, (m, n)
+        assert got == PslElement.canonical(q, product), (m, n)
+        done += 1
+    with pytest.raises(ParameterError, match="singular"):
+        PslElement(q, (2, 3, 4, 6)) @ PslElement.identity(q)
+    for entries in ((1, 0, 1), (1, 0, 0, 1, 0)):
+        with pytest.raises(ValueError, match="exactly 4"):
+            PslElement(q, entries)
 
 
 def test_quat_psl_round_trip():
@@ -231,7 +265,7 @@ def test_factor_round_trip(p):
         recovered = factor_into_generators(alpha, gens)
         assert recovered == word
         # sign of the product is irrelevant
-        assert factor_into_generators(-alpha, gens) == word
+        assert factor_into_generators(negated(alpha), gens) == word
 
 
 def full_product_peel(alpha, gens):
@@ -293,7 +327,7 @@ def test_peel_matches_full_product_reference_at_benchmark_length():
     for _ in range(20):
         word = random_nonbacktracking_word(gens, rng.randrange(400, 451), rng)
         alpha = word_product(word, gens)
-        for signed in (alpha, -alpha):
+        for signed in (alpha, negated(alpha)):
             assert full_product_peel(signed, gens) == word
             assert factor_into_generators(signed, gens) == word
 
@@ -362,7 +396,7 @@ def test_block_peel_and_evaluate_match_letter_by_letter(p):
             word = random_nonbacktracking_word(gens, length, rng)
             alpha = word_product(word, gens)
             assert factor_into_generators(alpha, gens) == word
-            assert factor_into_generators(-alpha, gens) == word
+            assert factor_into_generators(negated(alpha), gens) == word
             letters = [rng.randrange(p + 1) for _ in range(length)]
             for w in (word, letters):
                 expected = PslElement.identity(q)
@@ -396,7 +430,7 @@ def test_peel_refusals_survive_optimization():
         with pytest.raises(FactorizationError, match="residual unit"):
             factor_into_generators(alpha, gens)
     # -g has the line of g, so a set holding both cannot be peeled by lookup
-    quats = (-gens.quats[1],) + gens.quats[1:]
+    quats = (negated(gens.quats[1]),) + gens.quats[1:]
     shared = GeneratorSet(5, quats, gens.conj, gens.names)
     with pytest.raises(ParameterError, match="share a line"):
         factor_into_generators(gens.quats[0], shared)
