@@ -173,47 +173,35 @@ def _height_forms(
     """(h, the candidate form of the vertex congruence at h) for each height
     h = 0, ..., h_cap whose ellipse has rows; the other heights are skipped.
 
-    With (r1, r2) ≡ λ_h(a, b) (mod q), λ_h = λ_0·√p^h, height h's congruence
-    2*r1*t1 + 2*r2*t2 ≡ k (mod 2q) says λ_h(a*t1 + b*t2) ≡ k/2 (mod q): k is
-    even (p^h ≡ r1² ≡ 1, r2² ≡ 0 mod 4), the basis is that of `lattice`,
-    `solution_lattice(a, b, q)`, at every height, and pt = s·e with
-    s = (k/2)·λ_h⁻¹ is on the coset.
+    A point of height h's coset is P = (x, y) with x odd, y even,
+    (x, y) ≡ λ_h(a, b) (mod q), λ_h = λ_0·√p^h, and x² + y² ≡ p^h (mod m²),
+    m = 2q.  The last says pt = (x // m, y // m) solves height h's
+    congruence 2*r1*t1 + 2*r2*t2 ≡ k (mod m), (r1, r2) = P mod m, whose
+    homogeneous solutions are `lattice`, `solution_lattice(a, b, q)`, at
+    every height.  The lattice contains q·Z², so P may be taken mod mq = 2q².
+    p·P is a point of height h + 2's coset (√p² ≡ p, p odd keeps the
+    parities), so P_h = p^⌊h/2⌋·P_(h mod 2) is one of height h's, from P_0
+    and P_1 formed once per vertex.
 
-    Rows: with m = 2q and P = (x, y) = m·pt + (r1, r2), row x2 of the form is
-    the line P + m·(R·u1 + x2·u2), at distance |D + x2·m·q| / |u1| from the
-    origin, D = det(u1, P) = u1[0]·y - u1[1]·x, since det(u1, u2) = ±q.  So
-    some row meets the disk x² + y² <= p^h, and `_row_range` of the form is
-    not None, exactly when d = min(D mod mq, mq - D mod mq) has
-    d² <= p^h·|u1|².
-
-    The row offset D mod mq is the same for every point P of the coset:
-    x ≡ r1, y ≡ r2 (mod m) and x² + y² ≡ p^h (mod m²).  Two such points
-    differ by m·v with v on the lattice, and det(u1, m·v) is a multiple of
-    m·q = mq.  If P is on height h's coset, p·P is on height h + 2's: p·λ_h
-    ≡ λ_{h+2} (mod q) as √p² ≡ p, p is odd so the parities stay, and
-    |p·P|² ≡ p^(h+2) (mod m²).  So D_{h+2} ≡ p·D_h (mod mq), and
-    `_row_offsets` carries D from D_0 and D_1 by one small multiplication
-    per height.  An empty height costs that, one square and one comparison;
-    the coset point, from λ_h = λ_(h mod 2)·p^⌊h/2⌋ and λ_h⁻¹ alike, is
-    formed only at h = 0, h = 1 and the heights with rows, and the form only
-    at the latter.  There D ≡ m·(s·c_e mod q) + u1[0]·r2 - u1[1]·r1
-    (mod mq), c_e = det(u1, e), is read off the point's residues.
+    Rows: row x2 of the form is the line P + m·(R·u1 + x2·u2), at distance
+    |D + x2·mq| / |u1| from the origin, D = det(u1, P) = u1[0]·y - u1[1]·x,
+    since det(u1, u2) = ±q.  Two points of the coset differ by m·v with v
+    on the lattice, and det(u1, m·v) is a multiple of mq, so D mod mq is the
+    coset's, not the point's.  The form has rows (`_row_range` is not
+    None) exactly when d = min(D mod mq, mq - D mod mq) has
+    d² <= p^h·|u1|².  `_row_offsets` carries D_{h+2} ≡ p·D_h, so an empty
+    height costs one small multiplication, one square and one comparison;
+    P_h and the form are built only at the heights with rows.
 
     Checks.  Once per vertex: the basis spans an index-q sublattice of
-    {a*t1 + b*t2 ≡ 0 (mod q)}, and a·e[0] + b·e[1] ≡ 1 (mod q).  Wherever a
-    coset point is formed, the check x² + y² ≡ p^h (mod m²), which says pt
-    solves height h's congruence, is made in two residue parts: 4q divides
-    p^h - r1² - r2² (the division that gives k/2 is exact), and
-    λ_h·λ_h⁻¹ ≡ 1 (mod q), read as λ_h·c·λ_h⁻¹ ≡ c on a nonzero coordinate c
-    of (a, b).  With the unit point check they give (r1, r2)·pt ≡ k/2
-    (mod q).  At h = 0 and h = 1 together they also give √p² ≡ p (mod q),
-    the premise of the recurrence.  At a height with rows the point's D is
-    compared with the recurrence's, which catches a fault in the recurrence
-    at the first height it yields.  A skipped height forms no coset point,
-    so it has nothing for the residue checks to check.
+    {a*t1 + b*t2 ≡ 0 (mod q)}, and a·e[0] + b·e[1] ≡ 1 (mod q).  At h = 0,
+    h = 1 (which together give √p² ≡ p, the recurrence's premise) and every
+    yielded height: x² + y² ≡ p^h (mod m²).  At a yielded height the
+    point's D must equal the recurrence's, which catches a fault in the
+    recurrence at the first height it yields.
     """
     q, p = params.q, params.p
-    m, mq, m2, four_q = 2 * q, 2 * q * q, 4 * q * q, 4 * q
+    m, mq, m2 = 2 * q, 2 * q * q, 4 * q * q
     basis, e, _ = lattice
     u1, u2 = basis
     if abs(u1[0] * u2[1] - u1[1] * u2[0]) != q:
@@ -223,43 +211,38 @@ def _height_forms(
             raise RuntimeError(f"basis vector {u} is off the lattice of ({a}, {b}) mod {q}")
     if (a * e[0] + b * e[1]) % q != 1:
         raise RuntimeError(f"unit point {e} is off the coset of ({a}, {b}) mod {q}")
-    c_e = (u1[0] * e[1] - u1[1] * e[0]) % q
-    nsq = (a * a + b * b) % q
-    mu0 = sqrt_mod(pow(nsq, -1, q), q)
-    sqrt_p, sqrt_p_inv = params.sqrt_p, pow(params.sqrt_p, -1, q)
-    # (λa, λb, λ⁻¹) mod q at h = 0 and h = 1; mu0² ≡ 1/nsq
-    lam_a, lam_b, lam_inv = mu0 * a % q, mu0 * b % q, mu0 * nsq % q
-    lams = (
-        (lam_a, lam_b, lam_inv),
-        (lam_a * sqrt_p % q, lam_b * sqrt_p % q, lam_inv * sqrt_p_inv % q),
-    )
-    via_a = a % q != 0  # λ·λ⁻¹ ≡ 1 is read off λa, or off λb when a ≡ 0
 
-    def coset_point(h: int) -> tuple[int, int, int, int]:
-        """(r1, r2, s, D mod mq) of height h, after its residue checks."""
-        lam_a, lam_b, lam_inv = lams[h & 1]
-        t, t_inv = pow(p, h >> 1, q), pow(p, -(h >> 1), q)  # p^⌊h/2⌋ and its inverse
-        lam_a, lam_b, lam_inv = lam_a * t % q, lam_b * t % q, lam_inv * t_inv % q
-        r1 = lam_a if lam_a & 1 else lam_a + q
-        r2 = lam_b + q if lam_b & 1 else lam_b
-        half_k, rem = divmod(pow(p, h, m2) - r1 * r1 - r2 * r2, four_q)
-        if rem or (lam_a * lam_inv - a if via_a else lam_b * lam_inv - b) % q:
+    def coset_point(h: int, n: int, x: int, y: int) -> tuple[int, int]:
+        """(x, y) mod mq, after the check that it is a point of height h's
+        coset, x² + y² ≡ n = p^h (mod m²)."""
+        x, y = x % mq, y % mq
+        if (x * x + y * y - n) % m2:
             raise RuntimeError(f"coset point is off the coset of ({a}, {b}) at height {h}")
-        s = half_k * lam_inv % q
-        return r1, r2, s, (m * (s * c_e % q) + u1[0] * r2 - u1[1] * r1) % mq
+        return x, y
 
-    offsets = _row_offsets(coset_point(0)[3], coset_point(1)[3], p, mq)
+    lam0 = sqrt_mod(pow((a * a + b * b) % q, -1, q), q)
+    seeds = []
+    for h, lam in enumerate((lam0, lam0 * params.sqrt_p % q)):  # λ_0, λ_1
+        r1, r2 = lam * a % q, lam * b % q
+        r1, r2 = (r1 if r1 & 1 else r1 + q), (r2 + q if r2 & 1 else r2)
+        # pt = s·e with λ·s ≡ k/2 (mod q), as (r1, r2)·e ≡ λ
+        s = (p**h - r1 * r1 - r2 * r2) // (2 * m) * pow(lam, -1, q) % q
+        seeds.append(coset_point(h, p**h, r1 + m * s * e[0], r2 + m * s * e[1]))
+    offsets = _row_offsets(*((u1[0] * y - u1[1] * x) % mq for x, y in seeds), p, mq)
     n_u1 = norm_sq(u1)  # p^h·|u1|²
     for h in range(h_cap + 1):
         d = next(offsets)
         r = mq - d if d + d > mq else d
         if r * r <= n_u1:
-            r1, r2, s, d_point = coset_point(h)
+            n, t = p**h, pow(p, h >> 1, mq)
+            x0, y0 = seeds[h & 1]
+            x, y = coset_point(h, n, t * x0, t * y0)
+            d_point = (u1[0] * y - u1[1] * x) % mq
             if d_point != d:
                 raise RuntimeError(
                     f"row offset {d} of ({a}, {b}) at height {h} is not its coset point's {d_point}"
                 )
-            yield h, coset_form(p**h, m, r1, r2, basis, (s * e[0] % q, s * e[1] % q))
+            yield h, coset_form(n, m, x % m, y % m, basis, (x // m, y // m))
         n_u1 *= p
 
 
@@ -508,7 +491,6 @@ def general_navigate(
         raise ParameterError("element lies outside PSL2(F_q)")
     q = params.q
     g_quat = Quat(*psl_to_quat_class(g, params.sqrt_m1))
-    target = PslElement.canonical(q, g.m)
     words = itertools.islice(_correcting_words(params), cfg.s_cap)
     for s_index, (s_word, acc) in enumerate(words):
         for x, y, z in decompose_xyz(acc * g_quat, q):
@@ -527,7 +509,7 @@ def general_navigate(
                 word += w
             word = free_reduce(word, params.gens)
             got = evaluate_word(word, params.gens, q, params.sqrt_m1)
-            if got != target:
+            if got != g:
                 raise RuntimeError("navigation word does not evaluate to the target")
             return GeneralNavResult(
                 word=tuple(word),

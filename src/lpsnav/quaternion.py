@@ -172,12 +172,10 @@ class PslElement:
     def __repr__(self) -> str:
         return f"PslElement(q={self.q!r}, m={self.m!r})"
 
-    def det(self) -> int:
-        return (self.m[0] * self.m[3] - self.m[1] * self.m[2]) % self.q
-
     def in_psl(self) -> bool:
-        """True when the class lies in PSL2 (det of any representative is a square)."""
-        return legendre(self.det(), self.q) == 1
+        """True when the class lies in PSL2: every representative's determinant
+        has the same Legendre symbol, so the kept one decides."""
+        return legendre(self._d, self.q) == 1
 
     def __matmul__(self, other: "PslElement") -> "PslElement":
         q = self.q

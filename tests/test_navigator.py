@@ -464,10 +464,11 @@ def test_lattice_checks_survive_optimization():
 
 
 def test_coset_residue_checks_survive_optimization(monkeypatch):
-    """A wrong λ or λ⁻¹ is a RuntimeError at height 1, though (1, 8) has no
-    rows before height 5: the scan forms and checks the coset points of
-    heights 0 and 1, which start its row-offset recurrence, before it
-    yields, and checks the same way the point of every height it yields."""
+    """A wrong coset point is a RuntimeError, not an assert that python -O
+    strips.  A wrong λ raises at height 1, though (1, 8) has no rows before
+    height 5: the scan forms and checks the coset points of heights 0 and 1,
+    which start its row-offset recurrence, before it yields.  A wrong carried
+    point raises at the height it is formed for."""
     params = GraphParams(5, 29)
     lattice = solution_lattice(1, 8, 29)
 
@@ -475,19 +476,26 @@ def test_coset_residue_checks_survive_optimization(monkeypatch):
         return list(navigator._height_forms(params, 1, 8, lattice, 12))
 
     assert min(h for h, _form in scan(params)) == 5
-    # √p wrong: λ²(a² + b²) ≢ p (mod q) at h = 1, so 4q does not divide
-    # p - r1² - r2².
+    # √p wrong: λ²(a² + b²) ≢ p (mod q) at h = 1, so x² + y² ≢ p (mod 4q²).
     bad = copy.copy(params)
     bad.sqrt_p = params.sqrt_p + 1
     with pytest.raises(RuntimeError, match=r"off the coset of \(1, 8\) at height 1$"):
         scan(bad)
 
-    # λ right but λ⁻¹ wrong from h = 1 on: only λ·λ⁻¹ ≡ 1 catches it.
-    def wrong_inverse(x, e, mod):
-        return pow(x, e, mod) * (2 if (e, x) == (-1, params.sqrt_p) else 1) % mod
+    # p^⌊h/2⌋ wrong at height 5, the first yielded: twice it leaves the
+    # circle x² + y² ≡ p^5 (mod 4q²); its negative stays on the circle, but
+    # its row offset is not the recurrence's.
+    def wrong_power(scale):
+        def fake_pow(x, e, mod):
+            return pow(x, e, mod) * (scale if (x, e, mod) == (5, 2, 2 * 29 * 29) else 1) % mod
 
-    monkeypatch.setattr(navigator, "pow", wrong_inverse, raising=False)
-    with pytest.raises(RuntimeError, match=r"off the coset of \(1, 8\) at height 1$"):
+        return fake_pow
+
+    monkeypatch.setattr(navigator, "pow", wrong_power(2), raising=False)
+    with pytest.raises(RuntimeError, match=r"off the coset of \(1, 8\) at height 5$"):
+        scan(params)
+    monkeypatch.setattr(navigator, "pow", wrong_power(-1), raising=False)
+    with pytest.raises(RuntimeError, match=r"row offset \d+ of \(1, 8\) at height 5 "):
         scan(params)
 
 
