@@ -76,7 +76,11 @@ class FourSquaresInstance:
 
 @dataclass(frozen=True)
 class CandidateForm:
-    """The quadratic F plus everything needed to enumerate and assemble solutions."""
+    """The quadratic F plus everything needed to enumerate and assemble solutions.
+
+    F(x1, x2) = A*x1² + B*x1*x2 + C*x2² + D*x1 + E*x2 + G with
+    coeffs = (A, B, C, D, E, G) and A = -|u1|² < 0.
+    """
 
     n: int
     modulus: int
@@ -85,19 +89,13 @@ class CandidateForm:
     u0: Vec2
     u1: Vec2
     u2: Vec2
-    u0p: int
-    u1p: int
-    u2p: int
+    coeffs: tuple[int, int, int, int, int, int]
 
     def point(self, x1: int, x2: int) -> Vec2:
         return (
             self.u0[0] + x1 * self.u1[0] + x2 * self.u2[0],
             self.u0[1] + x1 * self.u1[1] + x2 * self.u2[1],
         )
-
-    def f_value(self, x1: int, x2: int) -> int:
-        t1, t2 = self.point(x1, x2)
-        return self.u0p - x1 * self.u1p - x2 * self.u2p - t1 * t1 - t2 * t2
 
 
 @dataclass(frozen=True)
@@ -129,8 +127,16 @@ def coset_form(
     scalar(point, k)  # raises unless the point solves the congruence
     u1, u2 = basis
     u0 = shortest_coset_vector(basis, point)
-    u0p, u1p, u2p = scalar(u0, k), -scalar(u1, 0), -scalar(u2, 0)
-    return CandidateForm(n, m, r1, r2, u0, u1, u2, u0p, u1p, u2p)
+    # F = (k - 2*(r1*t1 + r2*t2))/m - |t|² at t = u0 + x1*u1 + x2*u2.
+    coeffs = (
+        -norm_sq(u1),
+        -2 * dot(u1, u2),
+        -norm_sq(u2),
+        scalar(u1, 0) - 2 * dot(u0, u1),
+        scalar(u2, 0) - 2 * dot(u0, u2),
+        scalar(u0, k) - norm_sq(u0),
+    )
+    return CandidateForm(n, m, r1, r2, u0, u1, u2, coeffs)
 
 
 def build_form(inst: FourSquaresInstance) -> CandidateForm:
@@ -185,30 +191,12 @@ def _row_points(lo: int, hi: int) -> Iterator[int]:
             right += 1
 
 
-def _f_coeffs(form: CandidateForm, x2: int) -> tuple[int, int, int]:
-    """F(x1, x2) = a*x1² + b*x1 + c for fixed x2 (a = -|u1|² < 0)."""
-    p1 = form.u0[0] + x2 * form.u2[0]
-    p2 = form.u0[1] + x2 * form.u2[1]
-    a = -norm_sq(form.u1)
-    b = -form.u1p - 2 * (p1 * form.u1[0] + p2 * form.u1[1])
-    c = form.u0p - x2 * form.u2p - p1 * p1 - p2 * p2
-    return a, b, c
-
-
 def _row_range(form: CandidateForm) -> Optional[tuple[int, int]]:
     """Exact x2-projection of the ellipse {F >= 0}: integers with max_x1 F(x1, x2) >= 0."""
-    alpha = norm_sq(form.u1)
-    b0 = -form.u1p - 2 * dot(form.u0, form.u1)
-    b1 = -2 * dot(form.u2, form.u1)
-    g0 = form.u0p - norm_sq(form.u0)
-    g1 = -form.u2p - 2 * dot(form.u0, form.u2)
-    g2 = -norm_sq(form.u2)
+    a, b, c, d, e, g = form.coeffs
     # Discriminant of F in x1, as a quadratic in x2; leading coefficient is
     # -4*(det u1,u2)² < 0, so the row range is a bounded interval.
-    a2 = b1 * b1 + 4 * alpha * g2
-    b2 = 2 * b0 * b1 + 4 * alpha * g1
-    c2 = b0 * b0 + 4 * alpha * g0
-    return _quadratic_interval(a2, b2, c2)
+    return _quadratic_interval(b * b - 4 * a * c, 2 * b * d - 4 * a * e, d * d - 4 * a * g)
 
 
 def enumerate_candidates(form: CandidateForm) -> Iterator[tuple[tuple[int, int], int]]:
@@ -221,30 +209,33 @@ def enumerate_candidates(form: CandidateForm) -> Iterator[tuple[tuple[int, int],
     rows = _row_range(form)
     if rows is None:
         return
+    a, b, c, d, e, g = form.coeffs
     # Rows are seeded lazily in (x2², x2) order: a row cannot yield a key
     # below x2², so one is pushed only once x2² reaches the heap top's norm.
+    # On row x2, F = (a*x1 + bx)*x1 + cx; a heap entry is
+    # (x1² + x2², x1, x2, row iterator, bx, cx), unique in its first three.
     unseeded = _row_points(*rows)
     x2_next = next(unseeded, None)
-    heap: list[tuple[tuple[int, int, int], int, Iterator[int]]] = []
+    heap: list[tuple[int, int, int, Iterator[int], int, int]] = []
     while True:
-        while x2_next is not None and (not heap or x2_next * x2_next <= heap[0][0][0]):
+        while x2_next is not None and (not heap or x2_next * x2_next <= heap[0][0]):
             x2, x2_next = x2_next, next(unseeded, None)
-            iv = _quadratic_interval(*_f_coeffs(form, x2))
+            bx, cx = b * x2 + d, (c * x2 + e) * x2 + g
+            iv = _quadratic_interval(a, bx, cx)
             if iv is None:
                 continue
             it = _row_points(*iv)
             x1 = next(it)
-            heapq.heappush(heap, ((x1 * x1 + x2 * x2, x1, x2), x1, it))
+            heapq.heappush(heap, (x1 * x1 + x2 * x2, x1, x2, it, bx, cx))
         if not heap:
             return
-        (key, x1, it) = heap[0]
-        x2 = key[2]
-        yield ((x1, x2), form.f_value(x1, x2))
+        _, x1, x2, it, bx, cx = heap[0]
+        yield ((x1, x2), (a * x1 + bx) * x1 + cx)
         nxt = next(it, None)
         if nxt is None:
             heapq.heappop(heap)
         else:
-            heapq.heapreplace(heap, ((nxt * nxt + x2 * x2, nxt, x2), nxt, it))
+            heapq.heapreplace(heap, (nxt * nxt + x2 * x2, nxt, x2, it, bx, cx))
 
 
 def solve_form(form: CandidateForm, mode: str, budget_rho: int) -> SolveResult:

@@ -42,6 +42,7 @@ from lpsnav.quaternion import (
     lps_generators,
     psl_to_quat_class,
 )
+from test_foursquares import f_from_definition
 
 Q100 = 6513516734600035718300327211250928237178281758494417357560086828416863929270451437126021949850746381
 A100 = 23147807431234971203978401278304192730471291281
@@ -248,7 +249,7 @@ def test_criterion_4_box_certificate_regime():
         for x2 in range(-bx, bx + 1):
             for x1 in range(-ax, ax + 1):
                 assert _in_box(form, x1, x2, 1)
-                assert form.f_value(x1, x2) > 0, (n, m, r1, r2, x1, x2)
+                assert f_from_definition(form, x1, x2) > 0, (n, m, r1, r2, x1, x2)
 
         a5, b5 = _box_extent_5(form, 0), _box_extent_5(form, 1)
         for x2 in range(-b5 - 3, b5 + 4):
@@ -260,7 +261,7 @@ def test_criterion_4_box_certificate_regime():
                 )
             for x1 in xs:
                 assert not _in_box(form, x1, x2, 5)
-                assert form.f_value(x1, x2) < 0, (n, m, r1, r2, x1, x2)
+                assert f_from_definition(form, x1, x2) < 0, (n, m, r1, r2, x1, x2)
         done += 1
 
 

@@ -76,8 +76,19 @@ def test_infeasible_congruence_is_absent():
         build_form(FourSquaresInstance(10, 5, 0, 0))
 
 
+def f_from_definition(form, x1, x2):
+    """F = (n - x² - y²)/M² at x = M*t1 + r1, y = M*t2 + r2, (t1, t2) =
+    `form.point(x1, x2)`: an oracle independent of `form.coeffs`."""
+    m = form.modulus
+    t1, t2 = form.point(x1, x2)
+    x, y = m * t1 + form.r1, m * t2 + form.r2
+    f, rem = divmod(form.n - x * x - y * y, m * m)
+    assert rem == 0, (form, x1, x2)
+    return f
+
+
 def test_form_identity():
-    """M²·F(x1,x2) + x² + y² must reproduce n at every lattice point."""
+    """The quadratic given by `coeffs` is F's definition at every lattice point."""
     rng = random.Random(41)
     for _ in range(200):
         m = rng.randrange(2, 40)
@@ -91,11 +102,9 @@ def test_form_identity():
         for _ in range(20):
             x1 = rng.randrange(-6, 7)
             x2 = rng.randrange(-6, 7)
-            t1, t2 = form.point(x1, x2)
-            f = form.f_value(x1, x2)
-            x = m * t1 + form.r1
-            y = m * t2 + form.r2
-            assert m * m * f + x * x + y * y == n, (n, m, r1, r2, x1, x2)
+            a, b, c, d, e, g = form.coeffs
+            f = a * x1 * x1 + b * x1 * x2 + c * x2 * x2 + d * x1 + e * x2 + g
+            assert f == f_from_definition(form, x1, x2), (n, m, r1, r2, x1, x2)
 
 
 def test_enumeration_order_and_completeness():
@@ -115,11 +124,14 @@ def test_enumeration_order_and_completeness():
         assert keys == sorted(keys)
         # f nonnegative on every emitted candidate, by construction of the region
         assert all(f >= 0 for _pt, f in seen)
+        # the yielded F solves M²·F + x² + y² = n at the candidate's point
+        for (x1, x2), f in seen:
+            assert f == f_from_definition(form, x1, x2), (n, m, r1, r2, x1, x2)
         # completeness: brute-force the window and compare the F >= 0 set
         pts = {pt for pt, _f in seen}
         for x1 in range(-12, 13):
             for x2 in range(-12, 13):
-                if form.f_value(x1, x2) >= 0:
+                if f_from_definition(form, x1, x2) >= 0:
                     assert (x1, x2) in pts, (n, m, r1, r2, x1, x2)
 
 
